@@ -24,7 +24,8 @@ Sharing notes (why reuse cannot change results):
 - CFG node ids come from a per-build counter, so a CFG built here is
   structurally identical to one an analyzer would have built itself; the
   control-flow consumer reads metrics and the data-flow consumer runs
-  read-only fixpoints (``path_count`` copies the graph before mutating).
+  read-only fixpoints. The path metrics walk a memoized back-edge-free
+  DAG (``CFG._dag``) and never mutate the graph.
 - ``extract_classes`` fills in ``FunctionInfo.owner`` on the shared
   function list; no analyzer reads ``owner`` from a fresh extraction, so
   the mutation is unobservable.

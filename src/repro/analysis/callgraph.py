@@ -5,16 +5,23 @@ means the body of ``f`` contains a call site of ``g``. Name-based
 resolution is standard for lightweight multi-language analysis and is how
 the paper's proposed testbed would approximate "numbers of calling and
 returning targets" (§4.1).
+
+The graph is folded from per-file *facts* (:func:`file_facts`): each
+function's name, visibility, arity and call-site counts. The feature
+merge folds the facts stored in cached per-file records
+(:func:`metrics_from_facts`), so a warm re-analysis builds the graph
+without lexing or parsing any unchanged file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.lang.parser import FunctionInfo, extract_functions
+from repro.analysis.artifact import artifact_for
+from repro.lang.parser import FunctionInfo
 from repro.lang.sourcefile import Codebase
 from repro.lang.tokens import TokenKind
 
@@ -22,52 +29,75 @@ from repro.lang.tokens import TokenKind
 ENTRY_POINT_NAMES = frozenset({"main", "__main__", "run", "start"})
 
 
-def build_callgraph(codebase: Codebase, artifacts=None) -> nx.DiGraph:
-    """Build the name-resolved call graph of ``codebase``.
+def file_facts(functions: Sequence[FunctionInfo]) -> List[list]:
+    """The call-graph facts of one file's function table.
+
+    One ``[name, public, params, {callee: count}]`` entry per function,
+    in table order: ``public`` is 0/1 and the counter tallies the body's
+    call sites (an identifier followed by ``(``) by callee name. A call
+    ``obj.f()`` inside ``f`` itself names another object's method, not
+    recursion, and is skipped. The facts are plain JSON, so they ride in
+    the cached per-file record and the tree-level fold never needs the
+    file's tokens again.
+    """
+    facts: List[list] = []
+    for func in functions:
+        name = func.name
+        calls: Dict[str, int] = {}
+        tokens = func.body_tokens  # already code-filtered by the parser
+        for i in range(len(tokens) - 1):
+            tok = tokens[i]
+            if tok.kind != TokenKind.IDENT or tokens[i + 1].text != "(":
+                continue
+            callee = tok.text
+            if callee == name and i > 0 and tokens[i - 1].text in (".", "->"):
+                continue
+            calls[callee] = calls.get(callee, 0) + 1
+        facts.append([name, 1 if func.is_public else 0, func.param_count,
+                      calls])
+    return facts
+
+
+def graph_from_facts(files: Iterable[Tuple[str, List[list]]]) -> nx.DiGraph:
+    """Fold ``(path, file_facts)`` pairs, in path order, into the call graph.
 
     Node attributes: ``file`` (defining path), ``public`` (visibility
     heuristic), ``params`` (parameter count). Calls to undefined names
     (library functions) are recorded on the caller as the ``external``
-    attribute count rather than as graph nodes. ``artifacts`` maps paths
-    to per-file analysis artifacts (``.functions``) so the pass reuses
-    the shared function tables.
+    attribute count rather than as graph nodes.
     """
     graph = nx.DiGraph()
-    defined: Dict[str, FunctionInfo] = {}
-    bodies: List[Tuple[str, FunctionInfo]] = []
-    for source in codebase:
-        art = artifacts.get(source.path) if artifacts is not None else None
-        functions = art.functions if art is not None else extract_functions(source)
-        for func in functions:
+    bodies: List[Tuple[str, Dict[str, int]]] = []
+    for path, facts in files:
+        for name, public, params, calls in facts:
             # First definition wins; duplicates (overloads, per-file statics)
             # merge into one node, which is the right granularity for
             # codebase-level fan-in/fan-out statistics.
-            if func.name not in defined:
-                defined[func.name] = func
-                graph.add_node(
-                    func.name,
-                    file=source.path,
-                    public=func.is_public,
-                    params=func.param_count,
-                    external=0,
-                )
-            bodies.append((func.name, func))
+            if name not in graph:
+                graph.add_node(name, file=path, public=bool(public),
+                               params=params, external=0)
+            bodies.append((name, calls))
 
-    for caller, func in bodies:
+    for caller, calls in bodies:
         external = 0
-        tokens = func.body_tokens  # already code-filtered by the parser
-        for i, tok in enumerate(tokens[:-1]):
-            if tok.kind != TokenKind.IDENT or tokens[i + 1].text != "(":
-                continue
-            callee = tok.text
-            if callee == caller and i > 0 and tokens[i - 1].text in (".", "->"):
-                continue
-            if callee in defined:
+        for callee, count in calls.items():
+            if callee in graph:
                 graph.add_edge(caller, callee)
             else:
-                external += 1
-        graph.nodes[caller]["external"] = graph.nodes[caller]["external"] + external
+                external += count
+        graph.nodes[caller]["external"] += external
     return graph
+
+
+def codebase_facts(codebase: Codebase) -> List[Tuple[str, List[list]]]:
+    """``(path, file_facts)`` for every file, in path order."""
+    return [(source.path, file_facts(artifact_for(source).functions))
+            for source in codebase]
+
+
+def build_callgraph(codebase: Codebase) -> nx.DiGraph:
+    """Build the name-resolved call graph of ``codebase``."""
+    return graph_from_facts(codebase_facts(codebase))
 
 
 @dataclass(frozen=True)
@@ -92,9 +122,10 @@ class CallGraphMetrics:
         return self.reachable_from_entry / self.n_functions
 
 
-def measure_codebase(codebase: Codebase, artifacts=None) -> CallGraphMetrics:
-    """Compute :class:`CallGraphMetrics` for ``codebase``."""
-    graph = build_callgraph(codebase, artifacts)
+def metrics_from_facts(files: Iterable[Tuple[str, List[list]]]
+                       ) -> CallGraphMetrics:
+    """:class:`CallGraphMetrics` of the graph folded from per-file facts."""
+    graph = graph_from_facts(files)
     n = graph.number_of_nodes()
     fan_in = [graph.in_degree(v) for v in graph]
     fan_out = [graph.out_degree(v) for v in graph]
@@ -115,3 +146,8 @@ def measure_codebase(codebase: Codebase, artifacts=None) -> CallGraphMetrics:
         reachable_from_entry=len(reachable),
         n_recursive_cycles=cycles,
     )
+
+
+def measure_codebase(codebase: Codebase) -> CallGraphMetrics:
+    """Compute :class:`CallGraphMetrics` for ``codebase``."""
+    return metrics_from_facts(codebase_facts(codebase))

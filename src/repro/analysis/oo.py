@@ -13,15 +13,20 @@ the implementable core of that family on recovered class structure:
 
 C code yields zeros throughout (no classes), which is itself a signal
 the model can use.
+
+Like the call graph, the metrics are a fold over per-file *facts*
+(:func:`file_facts`), so the feature merge computes them from cached
+per-file records without re-reading any file.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.lang.parser import ClassInfo, extract_classes
+from repro.analysis.artifact import artifact_for
+from repro.lang.parser import ClassInfo
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.lang.tokens import TokenKind
 
@@ -132,57 +137,79 @@ def _field_visibility(source: SourceFile, cls: ClassInfo) -> Tuple[int, int]:
     return 0, 0
 
 
-def measure_codebase(codebase: Codebase, artifacts=None) -> ClassDesignMetrics:
-    """Compute OO design metrics over every class in ``codebase``.
+def _call_names(cls: ClassInfo) -> List[str]:
+    """Sorted names called anywhere in ``cls``'s methods (coupling input)."""
+    names: Set[str] = set()
+    for method in cls.methods:
+        tokens = method.body_tokens  # already code-filtered by the parser
+        for i in range(len(tokens) - 1):
+            if (tokens[i].kind == TokenKind.IDENT
+                    and tokens[i + 1].text == "("):
+                names.add(tokens[i].text)
+    return sorted(names)
 
-    ``artifacts`` maps paths to per-file analysis artifacts
-    (``.classes``/``.code_tokens``) so the pass reuses the shared parse.
+
+def file_facts(source: SourceFile, classes: List[ClassInfo],
+               code_tokens=None) -> Dict[str, list]:
+    """The OO facts of one file, as plain JSON.
+
+    ``classes`` holds one ``[name, [[method, public], ...], public_fields,
+    fields, call_names]`` entry per class, in table order (``public`` is
+    0/1; ``call_names`` feeds coupling). ``inheritance`` holds the file's
+    child -> parent header edges as ordered ``[child, parent]`` pairs.
     """
-    all_classes: List[Tuple[SourceFile, ClassInfo]] = []
+    facts = []
+    for cls in classes:
+        public_fields, fields = _field_visibility(source, cls)
+        facts.append([
+            cls.name,
+            [[m.name, 1 if m.is_public else 0] for m in cls.methods],
+            public_fields,
+            fields,
+            _call_names(cls),
+        ])
+    return {
+        "classes": facts,
+        "inheritance": [
+            [child, parent] for child, parent
+            in _inheritance_edges(source, code_tokens).items()
+        ],
+    }
+
+
+def metrics_from_facts(files: Iterable[Dict[str, list]]) -> ClassDesignMetrics:
+    """Fold per-file :func:`file_facts`, in path order, into the metrics.
+
+    A method name belongs to the first class that defines it; a later
+    file's inheritance edge for the same child replaces an earlier one.
+    """
+    all_classes: List[list] = []
     inheritance: Dict[str, str] = {}
     method_owner: Dict[str, str] = {}
-    for source in codebase:
-        art = artifacts.get(source.path) if artifacts is not None else None
-        classes = art.classes if art is not None else extract_classes(source)
-        for cls in classes:
-            all_classes.append((source, cls))
-            for method in cls.methods:
-                method_owner.setdefault(method.name, cls.name)
-        inheritance.update(
-            _inheritance_edges(
-                source, art.code_tokens if art is not None else None
-            )
-        )
+    for facts in files:
+        for cls in facts["classes"]:
+            all_classes.append(cls)
+            for method, _public in cls[1]:
+                method_owner.setdefault(method, cls[0])
+        inheritance.update(facts["inheritance"])
 
     if not all_classes:
         return ClassDesignMetrics(0, 0.0, 0, 0.0, 0.0, 0.0, 0, 0)
 
-    methods_per_class = [len(cls.methods) for _, cls in all_classes]
-    public_methods = sum(
-        1 for _, cls in all_classes for m in cls.methods if m.is_public
-    )
-    total_methods = sum(methods_per_class)
-
-    public_fields = total_fields = 0
-    for source, cls in all_classes:
-        pub, tot = _field_visibility(source, cls)
-        public_fields += pub
-        total_fields += tot
-
+    methods_per_class: List[int] = []
     couplings: List[int] = []
-    for _, cls in all_classes:
-        coupled: Set[str] = set()
-        for method in cls.methods:
-            tokens = method.body_tokens  # already code-filtered by the parser
-            for i, tok in enumerate(tokens[:-1]):
-                if tok.kind != TokenKind.IDENT or tokens[i + 1].text != "(":
-                    continue
-                owner = method_owner.get(tok.text)
-                if owner is not None and owner != cls.name:
-                    coupled.add(owner)
-        couplings.append(len(coupled))
-
-    depths = [_depth(inheritance, cls.name) for _, cls in all_classes]
+    depths: List[int] = []
+    public_methods = public_fields = total_fields = 0
+    for name, methods, public, fields, calls in all_classes:
+        methods_per_class.append(len(methods))
+        public_methods += sum(flag for _, flag in methods)
+        public_fields += public
+        total_fields += fields
+        # Coupling: distinct other classes owning a method this one calls.
+        couplings.append(len({method_owner.get(c) for c in calls}
+                             - {None, name}))
+        depths.append(_depth(inheritance, name))
+    total_methods = sum(methods_per_class)
 
     return ClassDesignMetrics(
         n_classes=len(all_classes),
@@ -198,3 +225,12 @@ def measure_codebase(codebase: Codebase, artifacts=None) -> ClassDesignMetrics:
         max_coupling=max(couplings),
         max_inheritance_depth=max(depths, default=0),
     )
+
+
+def measure_codebase(codebase: Codebase) -> ClassDesignMetrics:
+    """Compute OO design metrics over every class in ``codebase``."""
+    facts = []
+    for source in codebase:
+        art = artifact_for(source)
+        facts.append(file_facts(source, art.classes, art.code_tokens))
+    return metrics_from_facts(facts)

@@ -27,13 +27,17 @@ it at file granularity:
   :func:`_collect_records`) runs every analyzer that only needs a single
   :class:`~repro.lang.sourcefile.SourceFile` — LoC, cyclomatic,
   Halstead, identifiers, function shape, CFG, dataflow, attack-surface
-  channels, bug finding, smells — and captures its output as an
-  all-integer, JSON-round-trippable *record*;
+  channels, bug finding, smells — and captures its output as a
+  JSON-round-trippable *record*. The record also carries the per-file
+  *facts* the tree-level analyzers fold: each function's call sites
+  (call graph) and each class's methods, fields and calls plus the
+  file's inheritance edges (OO design);
 - a **merge phase** (:func:`merge_records`) folds the records back
   together with the exact arithmetic a whole-tree pass uses (integer
-  sums first, floats only derived from the merged integers) and runs
-  the genuinely tree-level analyzers (call graph, attack graph, OO
-  design, churn, optional dynamic traces) live.
+  sums first, floats only derived from the merged integers). The call
+  graph, OO design and attack graph are folded from the records too,
+  so merging never lexes or parses a file; only churn (from the commit
+  history) and the optional dynamic traces run live.
 
 Cold extraction *is* collect + merge over every file, so a warm run that
 merges cached records with freshly computed ones lands on the same code
@@ -67,7 +71,7 @@ from repro.analysis.churn import CommitHistory
 from repro.bugfind import Severity
 from repro.bugfind.meta import file_summary
 from repro.lang.languages import ALL_LANGUAGES
-from repro.lang.parser import extract_functions
+from repro.lang.parser import extract_classes, extract_functions
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.surface import attack_graph, rasq
 
@@ -82,7 +86,8 @@ FEATURE_GROUPS = (
 _PATH_CAP = 10 ** 6
 
 #: One per-file record (all JSON round-trippable): analyzer key ->
-#: integer aggregates. Bump ``ANALYZER_SET_VERSION`` when this changes.
+#: integer aggregates, or the facts a tree-level analyzer folds. Bump
+#: ``ANALYZER_SET_VERSION`` when this changes.
 FileRecord = Dict[str, object]
 
 
@@ -259,6 +264,23 @@ def _collect_surface_legacy(source: SourceFile) -> FileRecord:
     return _surface_record(rasq.measure_codebase(single))
 
 
+def _collect_calls(source: SourceFile) -> List[list]:
+    return callgraph.file_facts(artifact_for(source).functions)
+
+
+def _collect_calls_legacy(source: SourceFile) -> List[list]:
+    return callgraph.file_facts(extract_functions(source))
+
+
+def _collect_oo(source: SourceFile) -> FileRecord:
+    art = artifact_for(source)
+    return oo.file_facts(source, art.classes, art.code_tokens)
+
+
+def _collect_oo_legacy(source: SourceFile) -> FileRecord:
+    return oo.file_facts(source, extract_classes(source))
+
+
 def _collect_bugs(source: SourceFile) -> FileRecord:
     art = artifact_for(source)
     return file_summary(source, art.code_tokens, art.functions,
@@ -298,6 +320,8 @@ _PER_FILE_COLLECTORS = (
     ("surface.rasq", "surface", _collect_surface),
     ("analysis.bugfind", "bugs", _collect_bugs),
     ("analysis.smells", "smells", _collect_smells),
+    ("analysis.callgraph", "calls", _collect_calls),
+    ("analysis.oo", "oo", _collect_oo),
 )
 
 #: The pre-artifact reference collectors, same span names and record
@@ -315,6 +339,8 @@ LEGACY_PER_FILE_COLLECTORS = (
     ("surface.rasq", "surface", _collect_surface_legacy),
     ("analysis.bugfind", "bugs", _collect_bugs_legacy),
     ("analysis.smells", "smells", _collect_smells_legacy),
+    ("analysis.callgraph", "calls", _collect_calls_legacy),
+    ("analysis.oo", "oo", _collect_oo_legacy),
 )
 
 
@@ -370,6 +396,22 @@ def _collect_records(codebase: Codebase) -> List[FileRecord]:
     return records
 
 
+def _merged_surface(records: List[FileRecord]) -> rasq.AttackSurface:
+    """The tree's attack surface, summed from the per-file records."""
+    channel_counts = {channel: 0 for channel in rasq.CHANNEL_WEIGHTS}
+    for r in records:
+        for channel in channel_counts:
+            channel_counts[channel] += r["surface"]["channels"].get(
+                channel, 0)
+    return rasq.AttackSurface(
+        channel_counts=channel_counts,
+        n_public_methods=sum(
+            r["surface"]["public_methods"] for r in records),
+        n_privilege_sites=sum(
+            r["surface"]["privilege"] for r in records),
+    )
+
+
 def merge_records(
     codebase: Codebase,
     records: List[FileRecord],
@@ -385,11 +427,11 @@ def merge_records(
     uses, so the result is bit-identical whether the records were just
     computed or replayed from the cache.
 
-    The genuinely tree-level analyzers run live here; they receive the
-    per-file artifact map so they share one parse per file (with each
-    other, and with the per-file phase when it ran in this process).
+    The call graph, OO design and attack graph are folded from facts
+    the records carry, in path order, so no file is lexed or parsed
+    here: a warm run over cached records costs the fold alone. Only the
+    optional dynamic traces need each file's parse (``artifacts_for``).
     """
-    artifacts = artifacts_for(codebase)
     row: Dict[str, float] = {}
     counts = loc.LineCounts(
         code=sum(r["loc"]["code"] for r in records),
@@ -527,7 +569,9 @@ def merge_records(
 
     # -- call graph (tree-level: edges cross file boundaries) ----------------
     with obs.span("analysis.callgraph"):
-        calls = callgraph.measure_codebase(codebase, artifacts)
+        calls = callgraph.metrics_from_facts(
+            (source.path, r["calls"])
+            for source, r in zip(codebase.files, records))
     row["calls.edges_per_function"] = (
         calls.n_edges / calls.n_functions if calls.n_functions else 0.0
     )
@@ -538,27 +582,14 @@ def merge_records(
     row["calls.recursive_cycles"] = float(calls.n_recursive_cycles)
 
     # -- attack surface ---------------------------------------------------------
-    channel_counts = {channel: 0 for channel in rasq.CHANNEL_WEIGHTS}
-    for r in records:
-        for channel in channel_counts:
-            channel_counts[channel] += r["surface"]["channels"].get(
-                channel, 0)
-    surface = rasq.AttackSurface(
-        channel_counts=channel_counts,
-        n_public_methods=sum(
-            r["surface"]["public_methods"] for r in records),
-        n_privilege_sites=sum(
-            r["surface"]["privilege"] for r in records),
-    )
+    surface = _merged_surface(records)
     row["surface.rasq_per_kloc"] = density(surface.rasq)
     row["surface.network_facing"] = 1.0 if surface.network_facing else 0.0
     for channel, count in sorted(surface.channel_counts.items()):
         row[f"surface.{channel}_per_kloc"] = density(count)
     row["surface.privilege_sites"] = float(surface.n_privilege_sites)
     with obs.span("surface.attack_graph"):
-        graph_metrics = attack_graph.measure_codebase(
-            codebase, artifacts=artifacts
-        )
+        graph_metrics = attack_graph.metrics_from_surface(surface)
     row["surface.attack_states"] = float(graph_metrics.n_states)
     row["surface.goal_reachable"] = 1.0 if graph_metrics.goal_reachable else 0.0
     row["surface.shortest_attack_path"] = float(
@@ -626,7 +657,7 @@ def merge_records(
 
     # -- object-oriented design (Alshammari et al.) ----------------------------
     with obs.span("analysis.oo"):
-        design = oo.measure_codebase(codebase, artifacts)
+        design = oo.metrics_from_facts(r["oo"] for r in records)
     row["oo.classes_per_kloc"] = density(design.n_classes)
     row["oo.mean_methods_per_class"] = design.mean_methods_per_class
     row["oo.public_method_fraction"] = design.public_method_fraction
@@ -640,7 +671,8 @@ def merge_records(
         from repro.analysis import dynamic
 
         with obs.span("analysis.dynamic"):
-            traces = dynamic.measure_codebase(codebase, artifacts=artifacts)
+            traces = dynamic.measure_codebase(
+                codebase, artifacts=artifacts_for(codebase))
         row["dynamic.node_coverage"] = traces.mean_node_coverage
         row["dynamic.edge_coverage"] = traces.mean_edge_coverage
         row["dynamic.trace_length"] = traces.mean_trace_length

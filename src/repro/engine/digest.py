@@ -28,7 +28,7 @@ from repro.lang.sourcefile import Codebase, SourceFile
 #: emitted values — every cached entry keyed on the old version then
 #: misses cleanly instead of serving stale rows. Per-file records share
 #: this version: their partial layout is part of the analyzer set.
-ANALYZER_SET_VERSION = "2026.08.06-3"
+ANALYZER_SET_VERSION = "2026.10.16-1"
 
 
 def _hasher() -> "hashlib._Hash":

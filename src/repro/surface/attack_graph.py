@@ -271,18 +271,16 @@ def exploits_from_surface(surface: AttackSurface) -> List[Exploit]:
     return exploits
 
 
-def measure_codebase(
-    codebase: Codebase,
+def metrics_from_surface(
+    surface: AttackSurface,
     initial: Iterable[str] = ("remote", "local"),
     goal: str = "root",
-    artifacts=None,
 ) -> AttackGraphMetrics:
-    """Build the codebase's attack graph and summarise its difficulty.
+    """Build the attack graph of ``surface`` and summarise its difficulty.
 
-    ``artifacts`` is forwarded to the attack-surface scan so it reuses
-    the shared per-file analysis artifacts.
+    The feature merge passes the surface it already summed from the
+    per-file records, so no second scan of the tree is needed.
     """
-    surface = _surface(codebase, artifacts)
     graph = AttackGraph(exploits_from_surface(surface), initial, goal)
     shortest = graph.shortest_attack_path()
     cheapest = graph.cheapest_attack_cost()
@@ -294,3 +292,12 @@ def measure_codebase(
         attack_paths=graph.attack_path_count(),
         cheapest_cost=cheapest if cheapest is not None else float("inf"),
     )
+
+
+def measure_codebase(
+    codebase: Codebase,
+    initial: Iterable[str] = ("remote", "local"),
+    goal: str = "root",
+) -> AttackGraphMetrics:
+    """Build the codebase's attack graph and summarise its difficulty."""
+    return metrics_from_surface(_surface(codebase), initial, goal)

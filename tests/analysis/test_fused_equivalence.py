@@ -5,9 +5,10 @@ Every per-file collector in ``repro.core.features`` has a fused flavour
 legacy flavour (re-derives everything from the SourceFile alone). The
 contract of the artifact refactor is *byte identity*: for every file,
 every analyzer, fused and legacy must agree on repr, on JSON bytes, and
-on dict key order — not merely on numeric equality. The same holds for
-the tree-level analyzers with and without an artifact map, and for the
-merged feature row.
+on dict key order — not merely on numeric equality. The tree-level analyzers
+folded from JSON round-tripped records (what the merge sees on a warm
+run) must equal the live analyzers, and the merged feature row must be
+identical too.
 
 The legacy side always runs on a fresh SourceFile copy, so it cannot be
 contaminated by artifact caches the fused side planted.
@@ -22,6 +23,7 @@ from repro.core.features import (
     LEGACY_PER_FILE_COLLECTORS,
     _PER_FILE_COLLECTORS,
     file_record,
+    _merged_surface,
     file_record_legacy,
     merge_records,
 )
@@ -78,44 +80,211 @@ def test_artifact_views_match_legacy_derivations(corpus_files):
         assert [repr(t) for t in art.code_tokens] == [
             repr(t) for t in fresh.tokens if t.is_code()
         ], source.path
-        assert repr(art.functions) == repr(extract_functions(fresh)), source.path
-        assert repr(art.classes) == repr(extract_classes(fresh)), source.path
+        # Class matching fills in each method's ``owner`` on the shared
+        # function table, so derive the legacy table the same way.
+        functions = extract_functions(fresh)
+        classes = extract_classes(fresh, functions=functions)
+        assert repr(art.classes) == repr(classes), source.path
+        assert repr(art.classes) == repr(extract_classes(fresh_copy(source)))
+        assert repr(art.functions) == repr(functions), source.path
         assert len(art.cfgs) == len(art.functions)
 
 
-class TestTreeLevelAnalyzers:
-    """measure_codebase with artifacts == without, on independent copies."""
+def _round_trip(value):
+    """JSON round trip, as the per-file cache stores records."""
+    return json.loads(json.dumps(value))
 
-    def _copies(self, corpus_files):
-        with_art = Codebase("t", [fresh_copy(f) for f in corpus_files])
-        without = Codebase("t", [fresh_copy(f) for f in corpus_files])
-        return with_art, artifacts_for(with_art), without
+
+#: Hand-written trees for the fold's edge semantics.
+EDGE_TREES = {
+    # First definition wins; the second body still counts as helper's.
+    "two_definitions": {
+        "a.c": "static int helper(int x) {\n    return x;\n}\n"
+               "int main(void) {\n    return helper(1) + puts(\"a\");\n}\n",
+        "b.c": "int helper(int x, int y) {\n    return helper(x) + y;\n}\n",
+    },
+    # obj.f() inside f is another object's method, not recursion.
+    "self_method_call": {
+        "conn.py": "def close(sock):\n    sock.close()\n    return flush()\n",
+        "wire.c": "int send(struct conn *c) {\n    return c->send(c);\n}\n",
+    },
+    "python_self_fields": {
+        "tool.py": "class Tool:\n"
+                   "    def __init__(self):\n"
+                   "        self.name = 'x'\n"
+                   "        self._cache = {}\n"
+                   "        self.reset()\n"
+                   "\n"
+                   "    def reset(self):\n"
+                   "        self.count = 0\n"
+                   "        return helper()\n"
+                   "\n"
+                   "\n"
+                   "class Runner(Tool):\n"
+                   "    def go(self):\n"
+                   "        return reset()\n",
+    },
+    "java_fields": {
+        "Account.java": "public class Account {\n"
+                        "    public int balance;\n"
+                        "    private String owner;\n"
+                        "    protected static final int LIMIT = 10;\n"
+                        "    public int total;\n"
+                        "\n"
+                        "    public void deposit(int amount) {\n"
+                        "        balance = balance + amount;\n"
+                        "    }\n"
+                        "}\n",
+    },
+    "cpp_public_base": {
+        "shape.cpp": "class Shape {\n"
+                     "public:\n"
+                     "    int area() { return 0; }\n"
+                     "};\n"
+                     "class Circle : public Shape {\n"
+                     "public:\n"
+                     "    int radius() { return area(); }\n"
+                     "};\n"
+                     "class Ring : public Circle {\n"
+                     "public:\n"
+                     "    int inner() { return radius(); }\n"
+                     "};\n",
+    },
+    "cyclic_inheritance": {
+        "A.java": "class A extends B {\n    void a() { b(); }\n}\n",
+        "B.java": "class B extends A {\n    void b() { a(); }\n}\n",
+    },
+    # A later file's edge for the same child replaces the earlier one;
+    # a method name stays with the first class that defines it.
+    "later_edge_replaces": {
+        "One.java": "class Leaf extends Mid {\n    void run() { }\n}\n"
+                    "class Mid extends Root {\n    void run() { }\n}\n",
+        "Two.java": "class Leaf extends Root {\n    void stop() { run(); }\n}\n",
+    },
+}
+
+
+class TestTreeLevelAnalyzers:
+    """The merge's fold over cached records == the live analyzers."""
+
+    def _folded(self, files):
+        """(records as the cache replays them, an independent live tree)."""
+        cached = Codebase("t", [fresh_copy(f) for f in files])
+        records = _round_trip([file_record(f) for f in cached.files])
+        live = Codebase("t", [fresh_copy(f) for f in files])
+        return cached, records, live
+
+    def _calls(self, codebase, records):
+        return callgraph.metrics_from_facts(
+            (source.path, record["calls"])
+            for source, record in zip(codebase.files, records))
+
+    def _oo(self, records):
+        return oo.metrics_from_facts(record["oo"] for record in records)
 
     def test_callgraph(self, corpus_files):
-        cb, arts, plain = self._copies(corpus_files)
-        assert callgraph.measure_codebase(cb, arts) == \
-            callgraph.measure_codebase(plain)
+        cb, records, live = self._folded(corpus_files)
+        assert self._calls(cb, records) == callgraph.measure_codebase(live)
 
     def test_oo(self, corpus_files):
-        cb, arts, plain = self._copies(corpus_files)
-        assert oo.measure_codebase(cb, arts) == oo.measure_codebase(plain)
+        _, records, live = self._folded(corpus_files)
+        assert self._oo(records) == oo.measure_codebase(live)
 
     def test_rasq(self, corpus_files):
-        cb, arts, plain = self._copies(corpus_files)
-        fused = rasq.measure_codebase(cb, arts)
+        cb = Codebase("t", [fresh_copy(f) for f in corpus_files])
+        plain = Codebase("t", [fresh_copy(f) for f in corpus_files])
+        fused = rasq.measure_codebase(cb, artifacts_for(cb))
         legacy = rasq.measure_codebase(plain)
         assert fused == legacy
         assert list(fused.channel_counts) == list(legacy.channel_counts)
 
     def test_attack_graph(self, corpus_files):
-        cb, arts, plain = self._copies(corpus_files)
-        assert attack_graph.measure_codebase(cb, artifacts=arts) == \
-            attack_graph.measure_codebase(plain)
+        _, records, live = self._folded(corpus_files)
+        surface = _merged_surface(records)
+        assert surface == rasq.measure_codebase(live)
+        assert list(surface.channel_counts) == \
+            list(rasq.measure_codebase(live).channel_counts)
+        assert attack_graph.metrics_from_surface(surface) == \
+            attack_graph.measure_codebase(live)
 
     def test_dynamic(self, corpus_files):
-        cb, arts, plain = self._copies(corpus_files)
-        assert dynamic.measure_codebase(cb, artifacts=arts) == \
+        cb = Codebase("t", [fresh_copy(f) for f in corpus_files])
+        plain = Codebase("t", [fresh_copy(f) for f in corpus_files])
+        assert dynamic.measure_codebase(cb, artifacts=artifacts_for(cb)) == \
             dynamic.measure_codebase(plain)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_TREES))
+    def test_edge_trees_fold_equals_live(self, name):
+        files = Codebase.from_sources(name, EDGE_TREES[name]).files
+        cb, records, live = self._folded(files)
+        assert self._calls(cb, records) == callgraph.measure_codebase(live)
+        assert self._oo(records) == oo.measure_codebase(live)
+
+    def _edge(self, name):
+        cb = Codebase.from_sources(name, EDGE_TREES[name])
+        records = _round_trip([file_record(f) for f in cb.files])
+        return cb, records
+
+    def test_function_defined_in_two_files(self):
+        cb, records = self._edge("two_definitions")
+        graph = callgraph.graph_from_facts(
+            (source.path, record["calls"])
+            for source, record in zip(cb.files, records))
+        assert dict(graph.nodes["helper"]) == {
+            "file": "a.c", "public": False, "params": 1, "external": 0}
+        assert sorted(graph.edges) == [("helper", "helper"),
+                                       ("main", "helper")]
+        calls = self._calls(cb, records)
+        assert (calls.n_functions, calls.n_external_calls,
+                calls.max_fan_in, calls.n_recursive_cycles) == (2, 1, 2, 1)
+
+    def test_self_method_call_is_not_recursion(self):
+        cb, records = self._edge("self_method_call")
+        assert [facts for record in records for facts in record["calls"]] \
+            == [["close", 1, 1, {"flush": 1}], ["send", 1, 1, {}]]
+        calls = self._calls(cb, records)
+        assert (calls.n_edges, calls.n_external_calls,
+                calls.n_recursive_cycles) == (0, 1, 0)
+
+    def test_python_self_fields(self):
+        _, records = self._edge("python_self_fields")
+        tool, runner = records[0]["oo"]["classes"]
+        # name, count public; _cache private; self.reset() is a call.
+        assert tool[2:4] == [2, 3]
+        assert runner[2:4] == [0, 0]
+        design = self._oo(records)
+        assert design.public_field_fraction == pytest.approx(2 / 3)
+        assert design.max_coupling == 1  # Runner.go -> Tool.reset
+        assert design.max_inheritance_depth == 1
+
+    def test_java_visibility_fields(self):
+        _, records = self._edge("java_fields")
+        (account,) = records[0]["oo"]["classes"]
+        assert account[2:4] == [2, 4]  # balance, total of four
+        assert self._oo(records).public_field_fraction == 0.5
+
+    def test_cpp_public_base(self):
+        _, records = self._edge("cpp_public_base")
+        assert records[0]["oo"]["inheritance"] == [["Circle", "Shape"],
+                                                  ["Ring", "Circle"]]
+        design = self._oo(records)
+        assert design.max_inheritance_depth == 2
+        assert design.mean_coupling == pytest.approx(2 / 3)
+
+    def test_cyclic_inheritance_terminates(self):
+        _, records = self._edge("cyclic_inheritance")
+        design = self._oo(records)
+        assert design.max_inheritance_depth == 1
+        assert design.max_coupling == 1
+
+    def test_later_edge_replaces_first_owner_stays(self):
+        _, records = self._edge("later_edge_replaces")
+        design = self._oo(records)
+        # Leaf -> Root replaced Leaf -> Mid -> Root.
+        assert design.max_inheritance_depth == 1
+        # run() belongs to the first Leaf, so the second Leaf's call to
+        # it is not coupling.
+        assert design.max_coupling == 0
 
 
 def test_merged_row_fused_equals_legacy(corpus_files):

@@ -18,6 +18,7 @@ from repro import obs
 from repro.engine import ExtractionEngine, FeatureCache
 from repro.engine.faults import FAULTS_ENV
 from repro.lang import Codebase, SourceFile
+from repro.lang.lexer import Lexer
 
 N_FILES = 6
 
@@ -158,6 +159,48 @@ class TestDeltaByteIdentity:
         assert "engine.delta.files_changed" not in counters
         assert_byte_identical(row, reference_row(
             make_codebase(mutate=True, add="src/zz_new.c")))
+
+
+#: A C/C++/Java/Python tree whose call graph and classes cross files.
+MIXED_SOURCES = {
+    "src/core.c": "int helper(int x) {\n    return x + 1;\n}\n"
+                  "int main(void) {\n    return helper(2);\n}\n",
+    "src/shape.cpp": "class Shape {\npublic:\n"
+                     "    int area() { return helper(0); }\n};\n"
+                     "class Circle : public Shape {\npublic:\n"
+                     "    int radius() { return area(); }\n};\n",
+    "src/Server.java": "public class Server extends Base {\n"
+                       "    public int port;\n"
+                       "    public void serve() {\n"
+                       "        ServerSocket s = new ServerSocket(port);\n"
+                       "        run();\n    }\n}\n",
+    "src/tool.py": "class Tool:\n    def run(self):\n"
+                   "        self.state = 1\n        return helper(3)\n",
+}
+
+
+class TestWarmEditLexesOnlyEditedFile:
+    def test_one_edit_lexes_one_file(self, tmp_path, monkeypatch):
+        engine = ExtractionEngine(
+            workers=1, cache=FeatureCache(str(tmp_path / "cache")))
+        engine.extract_one(Codebase.from_sources("mixed", MIXED_SOURCES))
+
+        edited = dict(MIXED_SOURCES)
+        edited["src/tool.py"] += "\n\ndef extra():\n    return run()\n"
+        lexed = []
+        tokenize = Lexer.tokenize
+
+        def counting(self, text):
+            lexed.append(text)
+            return tokenize(self, text)
+
+        monkeypatch.setattr(Lexer, "tokenize", counting)
+        # Fresh SourceFiles: nothing is lexed yet, as after a rescan.
+        row = engine.extract_one(Codebase.from_sources("mixed", edited))
+        assert lexed == [edited["src/tool.py"]]
+        monkeypatch.undo()
+        assert_byte_identical(
+            row, reference_row(Codebase.from_sources("mixed", edited)))
 
 
 class TestDeltaDegradation:
