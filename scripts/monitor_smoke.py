@@ -131,7 +131,6 @@ def main() -> int:
             [sys.executable, "-m", "repro",
              "--stream", stream_path,
              "serve", "--model", model, "--port", str(port),
-             "--batch-window", "0.005",
              "--slo", slo_path, "--access-log", access_path],
             base, stderr_path, cwd=REPO_ROOT)
     except DaemonError as exc:

@@ -101,7 +101,7 @@ def main() -> int:
     try:
         server, health = boot_daemon(
             [sys.executable, "-m", "repro", "serve", "--model", model,
-             "--port", str(port), "--batch-window", "0.005"],
+             "--port", str(port)],
             base, stderr_path, cwd=REPO_ROOT)
     except DaemonError as exc:
         fail(exc.message)

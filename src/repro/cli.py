@@ -27,7 +27,7 @@ Commands:
 - ``survey`` — print the Figure-1 survey table.
 - ``corpus --out FEED.json`` — export the calibrated CVE corpus as JSON.
 - ``serve --model PATH`` — run the prediction service daemon:
-  ``POST /predict`` (micro-batched), ``POST /analyze`` (through the
+  ``POST /predict`` (scored inline), ``POST /analyze`` (through the
   extraction engine), ``GET /healthz``, ``GET /metricz`` (JSON, or
   Prometheus text under ``Accept: text/plain``). ``--slo RULES`` folds
   a live SLO verdict into ``/healthz``; ``--access-log PATH`` appends
@@ -391,9 +391,6 @@ def cmd_serve(args) -> int:
     shared = dict(
         host=args.host,
         port=args.port,
-        batch_window=args.batch_window,
-        batch_size=args.batch_size,
-        queue_depth=args.queue_depth,
         slo_rules=slo_rules,
         access_log=args.access_log,
     )
@@ -683,14 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="async tier: how long /analyze waits for a "
                         "free engine before 503 (default: 30.0)")
-    p.add_argument("--batch-window", type=float, default=0.01,
-                   metavar="SECONDS",
-                   help="micro-batch collection window (default: 0.01)")
-    p.add_argument("--batch-size", type=int, default=16, metavar="N",
-                   help="maximum predictions per micro-batch (default: 16)")
-    p.add_argument("--queue-depth", type=int, default=64, metavar="N",
-                   help="bounded inbound queue; beyond it requests are "
-                        "shed with 503 + Retry-After (default: 64)")
     p.add_argument("--slo", metavar="RULES.{toml,json}", default=None,
                    help="SLO rule file; /healthz reports degraded on "
                         "any breach")

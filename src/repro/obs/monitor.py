@@ -18,6 +18,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.obs.report import shed_total
 from repro.obs.slo import SloRule, evaluate_slos
 
 #: ANSI "clear screen, cursor home" — the repaint between frames.
@@ -59,7 +60,7 @@ def render_dashboard(
 
     requests = counters.get("serve.requests", 0.0)
     errors = counters.get("serve.errors", 0.0)
-    shed = counters.get("serve.shed", 0.0)
+    shed = shed_total(counters)
     lines.append(
         f"requests  total={requests:g}  "
         f"rate={_rate(requests, prev_counters.get('serve.requests'), elapsed)}"
@@ -99,13 +100,6 @@ def render_dashboard(
         f" ({row_hits:g}/{row_hits + row_misses:g})"
         f"  files hit={_pct(file_hits, file_hits + file_misses)}"
         f" ({file_hits:g}/{file_hits + file_misses:g})")
-
-    batches = histograms.get("serve.batch_size")
-    if batches and batches.get("count"):
-        lines.append(
-            f"batching  batches={batches['count']:g}"
-            f"  mean_size={batches.get('mean', 0):.2f}"
-            f"  max_size={batches.get('max', 0):g}")
 
     if slo_rules:
         report = evaluate_slos(slo_rules, snapshot)

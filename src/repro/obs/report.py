@@ -109,12 +109,19 @@ def format_error_spans(spans: Sequence[Span]) -> str:
     return "\n".join(lines)
 
 
+def shed_total(counters: Dict[str, float]) -> float:
+    """Every ``serve.*.shed`` refusal: loop admission, engine pool."""
+    return sum(value for name, value in counters.items()
+               if name.startswith("serve.") and name.endswith(".shed"))
+
+
 def format_serving_section(registry: MetricsRegistry) -> str:
     """Request/error/shed totals plus per-endpoint latency lines.
 
     Summarises the ``serve.*`` instruments the prediction daemon
-    records (``serve.requests``/``serve.errors``/``serve.shed``
-    counters, ``serve.<endpoint>.seconds`` histograms, batch sizes).
+    records (``serve.requests``/``serve.errors`` counters, every
+    ``serve.*.shed`` refusal counter summed, ``serve.<endpoint>.seconds``
+    histograms).
     Returns "" when the session saw no served traffic, so offline runs'
     reports are unchanged.
     """
@@ -126,13 +133,8 @@ def format_serving_section(registry: MetricsRegistry) -> str:
     counters = snap["counters"]
     requests = counters.get("serve.requests", 0)
     errors = counters.get("serve.errors", 0)
-    shed = counters.get("serve.shed", 0)
+    shed = shed_total(counters)
     lines = [f"  requests={requests:g} errors={errors:g} shed={shed:g}"]
-    batches = snap["histograms"].get("serve.batch_size")
-    if batches and batches["count"]:
-        lines.append(
-            f"  batches={batches['count']} mean_size={batches['mean']:.2f}"
-            f" max_size={batches['max']:g}")
     for name, summary in snap["histograms"].items():
         if not (name.startswith("serve.") and name.endswith(".seconds")):
             continue

@@ -37,7 +37,7 @@ Config shape (TOML shown; the JSON equivalent is ``{"slo": [{…}]}``)::
     [[slo]]
     name = "shed-rate"
     kind = "ratio_max"
-    numerator = "serve.shed"
+    numerator = "serve.aio.shed"
     denominator = "serve.requests"
     max_ratio = 0.01
 """

@@ -10,9 +10,6 @@ ExtractionEngine`:
 
 - :mod:`repro.serve.modelstore` — loads and validates one or more
   saved model bundles at startup (named ``NAME=PATH`` specs);
-- :mod:`repro.serve.batching` — micro-batches concurrent ``/predict``
-  requests behind a bounded queue (configurable window and size) and
-  sheds load with 503 + ``Retry-After`` when the queue is full;
 - :mod:`repro.serve.payloads` — the one place request/CLI payloads are
   built and serialised, so served responses stay byte-identical to the
   offline ``repro analyze --json`` path;
@@ -24,9 +21,13 @@ ExtractionEngine`:
   concurrency unit);
 - :mod:`repro.serve.server` — the shared app core
   (:class:`~repro.serve.server.ServingApp`: model store + blue/green
-  hot reload, batcher, health) and the threaded daemon;
+  hot reload, health) and the threaded daemon;
 - :mod:`repro.serve.aio` — the asyncio daemon: keep-alive HTTP/1.1,
   engine-pool ``/analyze``, direct load shedding at the loop.
+
+``/predict`` is scored inline on the handler thread that owns the
+request, one :func:`~repro.serve.payloads.prediction_payload` per row:
+scoring is ~0.1 ms of CPU, so a batching queue would only add latency.
 
 Both tiers serve ``POST /predict``, ``POST /analyze``,
 ``GET /healthz``, ``GET /metricz``, and ``GET|POST /models`` (model
@@ -47,7 +48,6 @@ programmatically::
 """
 
 from repro.serve.aio import AsyncPredictionServer
-from repro.serve.batching import MicroBatcher, QueueSaturated
 from repro.serve.enginepool import EnginePool, PoolSaturated
 from repro.serve.modelstore import ModelLoadError, ModelStore, load_model
 from repro.serve.payloads import (
@@ -61,12 +61,10 @@ from repro.serve.server import PredictionServer, ServingApp
 __all__ = [
     "AsyncPredictionServer",
     "EnginePool",
-    "MicroBatcher",
     "ModelLoadError",
     "ModelStore",
     "PoolSaturated",
     "PredictionServer",
-    "QueueSaturated",
     "SCHEMA_VERSION",
     "ServingApp",
     "analysis_payload",

@@ -1,7 +1,7 @@
 """Structured access log for the prediction daemon.
 
 One JSON object per line, one line per finished request — method,
-path, status, duration, trace ID, and the request's batching facts —
+path, status, duration, trace ID, rows scored and the shed flag —
 so production traffic can be joined against traces (by ``trace_id``)
 and replayed into offline analysis without parsing free-text log
 formats. Enabled by ``repro serve --access-log PATH``; the default

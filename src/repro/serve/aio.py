@@ -16,9 +16,9 @@ The concurrency model, layer by layer:
 - **Requests** are bounded by ``max_inflight``; beyond it the loop
   sheds directly with ``503`` + ``Retry-After`` without ever touching
   a worker thread (``serve.aio.shed``).
-- **Predictions** flow through the shared
-  :class:`~repro.serve.batching.MicroBatcher` (its queue depth is the
-  prediction-side bound).
+- **Predictions** are scored inline on the handler thread that owns
+  the request — one ``assess`` is ~0.1 ms of CPU, so no queue forms
+  behind it and ``max_inflight`` is the only bound it needs.
 - **Extractions** check an engine out of the
   :class:`~repro.serve.enginepool.EnginePool` — N worker *processes*,
   so ``/analyze`` throughput scales with pool size instead of
@@ -50,7 +50,7 @@ from repro.serve.enginepool import (
 )
 from repro.serve.handlers import Response, handle_request
 from repro.serve.modelstore import ModelStore
-from repro.serve.server import DEFAULT_REQUEST_TIMEOUT, ServingApp
+from repro.serve.server import ServingApp
 
 #: Connections idle in keep-alive longer than this are closed.
 DEFAULT_KEEPALIVE_TIMEOUT = 30.0
@@ -89,8 +89,7 @@ class AsyncPredictionServer(ServingApp):
             a free engine before being shed.
         handler_threads: worker threads running ``handle_request``;
             defaults to ``4 * pool_size + 4`` so enough handlers exist
-            to keep every engine busy while others wait on batched
-            predictions.
+            to keep every engine busy while others score predictions.
         max_inflight: requests admitted past the loop at once; beyond
             it the loop sheds directly with 503. Defaults to
             ``2 * handler_threads``.
@@ -111,22 +110,10 @@ class AsyncPredictionServer(ServingApp):
         handler_threads: Optional[int] = None,
         max_inflight: Optional[int] = None,
         keepalive_timeout: float = DEFAULT_KEEPALIVE_TIMEOUT,
-        batch_window: float = 0.01,
-        batch_size: int = 16,
-        queue_depth: int = 64,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         slo_rules: Optional[Sequence[SloRule]] = None,
         access_log: Optional[str] = None,
     ):
-        super().__init__(
-            store,
-            batch_window=batch_window,
-            batch_size=batch_size,
-            queue_depth=queue_depth,
-            request_timeout=request_timeout,
-            slo_rules=slo_rules,
-            access_log=access_log,
-        )
+        super().__init__(store, slo_rules=slo_rules, access_log=access_log)
         self.pool = EnginePool(
             config, size=pool_size, checkout_timeout=checkout_timeout)
         if handler_threads is None:
@@ -176,11 +163,13 @@ class AsyncPredictionServer(ServingApp):
     def health(self) -> Dict[str, object]:
         doc = super().health()
         shape = self.pool.describe()
-        doc["pool"] = {
-            "size": shape["size"],
-            "in_use": shape["in_use"],
-            "checkout_timeout": shape["checkout_timeout"],
-        }
+        doc["pool"] = {key: shape[key] for key in (
+            "size", "in_use", "checkout_timeout", "rebuilds_left",
+            "broken")}
+        if shape["broken"]:
+            # Every /analyze and /gate now fails until a restart; a
+            # probe must not keep routing traffic here.
+            doc["status"] = "degraded"
         doc["inflight"] = {
             "current": self._inflight,
             "max": self.max_inflight,
@@ -200,7 +189,6 @@ class AsyncPredictionServer(ServingApp):
         """
         if warm:
             self.pool.prestart()
-        self.batcher.start()
         self._thread = threading.Thread(
             target=self._run_loop, name="repro-serve-aio", daemon=True)
         self._thread.start()
@@ -210,7 +198,6 @@ class AsyncPredictionServer(ServingApp):
         """Serve on the calling thread (the CLI path); blocks."""
         if warm:
             self.pool.prestart()
-        self.batcher.start()
         self._run_loop()
 
     def stop(self) -> None:

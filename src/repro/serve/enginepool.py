@@ -10,14 +10,15 @@ own :class:`~repro.engine.ExtractionEngine` (built from the same
 extract genuinely in parallel — separate interpreters, no GIL
 contention — while the (N+1)-th waits for a slot.
 
-Checkout semantics are shed-don't-collapse, mirroring the
-micro-batcher: a request that cannot obtain a slot within
-``checkout_timeout`` seconds is refused with :class:`PoolSaturated`,
-which the HTTP layer turns into ``503`` + ``Retry-After``. The wait
-itself is observable (``serve.pool.wait.seconds``), as are the shed
-count (``serve.pool.shed``), the live occupancy gauge
-(``serve.pool.in_use``), and one-per-lifetime executor rebuilds after
-a worker death (``serve.pool.rebuilds``).
+Checkout semantics are shed-don't-collapse: a request that cannot
+obtain a slot within ``checkout_timeout`` seconds is refused with
+:class:`PoolSaturated`, which the HTTP layer turns into ``503`` +
+``Retry-After``. The wait itself is observable
+(``serve.pool.wait.seconds``), as are the shed count
+(``serve.pool.shed``), the live occupancy gauge (``serve.pool.in_use``),
+and one-per-lifetime executor rebuilds after a worker death
+(``serve.pool.rebuilds``). A second death leaves the pool broken, which
+``/healthz`` reports as ``status: "degraded"``.
 
 Byte-identity is preserved by construction: a pool worker runs the very
 same ``ExtractionEngine.extract_one`` the offline CLI runs (serial
@@ -47,6 +48,9 @@ from repro.lang import Codebase
 #: being shed (seconds). Matches the serving layer's request timeout
 #: scale: a pool that cannot free a slot in this long is overloaded.
 DEFAULT_CHECKOUT_TIMEOUT = 30.0
+
+_BROKEN_MESSAGE = ("engine pool worker processes died twice; refusing "
+                   "to rebuild again")
 
 
 class PoolSaturated(Exception):
@@ -83,61 +87,35 @@ def _pool_init(config: EngineConfig) -> None:
     _WORKER_ENGINE = dataclasses.replace(config, workers=1).build()
 
 
-def _pool_extract(
+def _pool_call(
+    method: str,
     codebase: Codebase,
-    include_dynamic: bool,
+    kwargs: Dict[str, Any],
     capture: bool,
     trace_id: Optional[str],
-) -> Tuple[Dict[str, float], Optional[List[dict]], Optional[Dict[str, float]]]:
-    """Run one extraction on this worker's engine; ship telemetry home.
+) -> Tuple[Any, Optional[List[dict]], Optional[Dict[str, float]]]:
+    """Run one engine method on this worker's engine; ship telemetry home.
 
-    Returns ``(row, span_records, counters)``. With ``capture`` the
-    worker records into a private obs session stamped with the
-    request's ``trace_id`` so the shipped spans stitch into the same
-    request trace after the parent grafts them.
+    ``method`` names the :class:`~repro.engine.ExtractionEngine` entry
+    point (``extract_one`` for ``/analyze``, ``extract_with_records``
+    for ``/gate``). Returns ``(result, span_records, counters)``. With
+    ``capture`` the worker records into a private obs session stamped
+    with the request's ``trace_id`` so the shipped spans stitch into
+    the same request trace after the parent grafts them.
     """
     engine = _WORKER_ENGINE
     if engine is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("engine pool worker was not initialised")
     session = obs.configure(trace_id=trace_id) if capture else None
     try:
-        row = engine.extract_one(codebase, include_dynamic=include_dynamic)
+        result = getattr(engine, method)(codebase, **kwargs)
     finally:
         if session is not None:
             obs.disable()
     if session is not None:
-        return (row, session.tracer.records(),
+        return (result, session.tracer.records(),
                 session.metrics.snapshot()["counters"])
-    return row, None, None
-
-
-def _pool_extract_records(
-    codebase: Codebase,
-    capture: bool,
-    trace_id: Optional[str],
-) -> Tuple[Tuple[Dict[str, float], List[dict]],
-           Optional[List[dict]], Optional[Dict[str, float]]]:
-    """Row + per-file records on this worker's engine (the /gate unit).
-
-    Same telemetry contract as :func:`_pool_extract`; the payload is
-    ``(row, records)`` from
-    :meth:`~repro.engine.ExtractionEngine.extract_with_records`, so a
-    pooled gate shares the worker engine's file-granular cache with
-    every other request the slot has served.
-    """
-    engine = _WORKER_ENGINE
-    if engine is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("engine pool worker was not initialised")
-    session = obs.configure(trace_id=trace_id) if capture else None
-    try:
-        row, records = engine.extract_with_records(codebase)
-    finally:
-        if session is not None:
-            obs.disable()
-    if session is not None:
-        return ((row, records), session.tracer.records(),
-                session.metrics.snapshot()["counters"])
-    return (row, records), None, None
+    return result, None, None
 
 
 # -- parent side ------------------------------------------------------
@@ -160,7 +138,8 @@ class EnginePool:
     the shared :class:`~concurrent.futures.ProcessPoolExecutor` (one
     worker per slot) runs the extractions. A worker death rebuilds the
     executor once per pool lifetime (``serve.pool.rebuilds``); a second
-    breakage propagates.
+    breakage marks the pool broken (see :meth:`describe`) and every
+    later extraction raises.
     """
 
     def __init__(
@@ -180,6 +159,7 @@ class EnginePool:
         self._state_lock = threading.Lock()
         self._in_use = 0
         self._rebuilds_left = 1
+        self._broken = False
         self._closed = False
         self._executor = self._make_executor()
         # Resolved once: /healthz asks for this on every probe, and
@@ -231,34 +211,9 @@ class EnginePool:
         the worker and its spans/counters are grafted back, so one
         request still exports one connected trace.
         """
-        waited_from = perf_counter()
-        if not self._slots.acquire(timeout=self.checkout_timeout):
-            obs.incr("serve.pool.shed")
-            obs.event("serve.pool.shed", size=self.size,
-                      waited_s=round(self.checkout_timeout, 3))
-            raise PoolSaturated(max(1, int(self.checkout_timeout // 4)))
-        obs.observe("serve.pool.wait.seconds", perf_counter() - waited_from)
-        with self._state_lock:
-            self._in_use += 1
-            obs.gauge("serve.pool.in_use", self._in_use)
-        try:
-            capture = obs.is_enabled()
-            trace_id = obs.current_trace_id() if capture else None
-            with obs.span("serve.pool.extract", pool_size=self.size,
-                          app=codebase.name):
-                row, spans, counters = self._run(
-                    _pool_extract, codebase, include_dynamic, capture,
-                    trace_id)
-            if spans:
-                obs.graft_spans(spans)
-            if counters:
-                obs.merge_counters(counters)
-            return row
-        finally:
-            with self._state_lock:
-                self._in_use -= 1
-                obs.gauge("serve.pool.in_use", self._in_use)
-            self._slots.release()
+        return self._checkout_and_run(
+            "serve.pool.extract", "extract_one", codebase,
+            {"include_dynamic": include_dynamic})
 
     def extract_with_records(
         self,
@@ -266,11 +221,21 @@ class EnginePool:
     ) -> Tuple[Dict[str, float], List[dict]]:
         """Extract row *and* per-file records on the next free engine.
 
-        The ``/gate`` counterpart of :meth:`extract_one`: identical
-        checkout semantics (:class:`PoolSaturated` on timeout, wait
-        observed, occupancy gauged, telemetry grafted back), but the
-        worker runs ``extract_with_records`` so the caller gets the
-        per-file records the delta engine diffs.
+        The ``/gate`` counterpart of :meth:`extract_one`, with the same
+        checkout semantics, but the worker runs ``extract_with_records``
+        so the caller gets the per-file records the delta engine diffs.
+        """
+        return self._checkout_and_run(
+            "serve.pool.extract_records", "extract_with_records",
+            codebase, {})
+
+    def _checkout_and_run(self, span: str, method: str,
+                          codebase: Codebase, kwargs: Dict[str, Any]):
+        """Check a slot out, run ``method`` in a worker, graft telemetry.
+
+        The wait for a slot is observed (``serve.pool.wait.seconds``),
+        a timeout sheds with :class:`PoolSaturated`, and occupancy is
+        gauged (``serve.pool.in_use``) until the slot is released.
         """
         waited_from = perf_counter()
         if not self._slots.acquire(timeout=self.checkout_timeout):
@@ -285,48 +250,57 @@ class EnginePool:
         try:
             capture = obs.is_enabled()
             trace_id = obs.current_trace_id() if capture else None
-            with obs.span("serve.pool.extract_records",
-                          pool_size=self.size, app=codebase.name):
-                (row, records), spans, counters = self._run(
-                    _pool_extract_records, codebase, capture, trace_id)
+            with obs.span(span, pool_size=self.size, app=codebase.name):
+                result, spans, counters = self._run(
+                    method, codebase, kwargs, capture, trace_id)
             if spans:
                 obs.graft_spans(spans)
             if counters:
                 obs.merge_counters(counters)
-            return row, records
+            return result
         finally:
             with self._state_lock:
                 self._in_use -= 1
                 obs.gauge("serve.pool.in_use", self._in_use)
             self._slots.release()
 
-    def _run(self, fn, *args):
-        """Submit to the executor, surviving one worker-pool breakage."""
-        try:
+    def _run(self, *args):
+        """Submit to the executor, rebuilding it after a worker death.
+
+        A retry runs on the rebuilt executor; when the rebuild budget
+        is spent, :meth:`_rebuild` marks the pool broken and raises.
+        """
+        while True:
             executor = self._executor_or_raise()
-            return executor.submit(fn, *args).result()
-        except BrokenExecutor:
-            self._rebuild()
-            executor = self._executor_or_raise()
-            return executor.submit(fn, *args).result()
+            try:
+                return executor.submit(_pool_call, *args).result()
+            except BrokenExecutor:
+                self._rebuild(executor)
 
     def _executor_or_raise(self) -> ProcessPoolExecutor:
         with self._state_lock:
             if self._closed:
                 raise RuntimeError("engine pool is closed")
+            if self._broken:
+                raise RuntimeError(_BROKEN_MESSAGE)
             return self._executor
 
-    def _rebuild(self) -> None:
-        """Replace a broken executor, at most once per pool lifetime."""
+    def _rebuild(self, broken: ProcessPoolExecutor) -> None:
+        """Replace a broken executor, at most once per pool lifetime.
+
+        A no-op when another request already replaced ``broken``: two
+        requests in flight on one dead executor are one worker death,
+        not two.
+        """
         with self._state_lock:
             if self._closed:
                 raise RuntimeError("engine pool is closed")
+            if self._executor is not broken:
+                return
             if self._rebuilds_left <= 0:
-                raise RuntimeError(
-                    "engine pool worker processes died twice; refusing "
-                    "to rebuild again")
+                self._broken = True
+                raise RuntimeError(_BROKEN_MESSAGE)
             self._rebuilds_left -= 1
-            broken = self._executor
             self._executor = self._make_executor()
         obs.incr("serve.pool.rebuilds")
         obs.event("serve.pool.rebuild", size=self.size)
@@ -340,13 +314,20 @@ class EnginePool:
             return self._in_use
 
     def describe(self) -> Dict[str, Any]:
-        """The pool's shape for ``/healthz`` (size, occupancy, engine)."""
-        return {
-            "size": self.size,
-            "in_use": self.in_use,
-            "checkout_timeout": self.checkout_timeout,
-            "engine": dict(self._engine_shape),
-        }
+        """The pool's shape and health for ``/healthz``.
+
+        ``broken`` is true once the worker processes died with no
+        rebuild left; every later extraction then fails until restart.
+        """
+        with self._state_lock:
+            return {
+                "size": self.size,
+                "in_use": self._in_use,
+                "checkout_timeout": self.checkout_timeout,
+                "rebuilds_left": self._rebuilds_left,
+                "broken": self._broken,
+                "engine": dict(self._engine_shape),
+            }
 
 
 def _noop(_: int) -> None:

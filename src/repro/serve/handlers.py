@@ -25,7 +25,6 @@ the server has one configured.
 from __future__ import annotations
 
 import json
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
@@ -43,13 +42,13 @@ from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
     prometheus_exposition,
 )
-from repro.serve.batching import QueueSaturated
 from repro.serve.enginepool import PoolSaturated
 from repro.serve.modelstore import ModelLoadError
 from repro.serve.payloads import (
     SCHEMA_VERSION,
     analysis_payload,
     dump_payload,
+    prediction_payload,
 )
 
 #: Routing table: path -> allowed methods. Anything else is 404/405.
@@ -86,7 +85,8 @@ class RequestContext:
     ``headers`` is the inbound header map (keys lowercased);
     ``trace_id`` the request's resolved trace identity; ``method`` the
     HTTP method (for endpoints accepting more than one); ``batch_size``
-    and ``shed`` are filled in by ``/predict`` for the access log.
+    (the rows one ``/predict`` scored) and ``shed`` (an engine-pool
+    refusal) are filled in by the endpoints for the access log.
     ``store`` is the model-store *snapshot* resolved once at routing
     time — every model lookup in the request goes through it, so a
     blue/green swap mid-request cannot mix two stores in one response.
@@ -169,23 +169,6 @@ def _select_model(ctx: RequestContext, doc: dict, required: bool):
             404,
             f"unknown model {name!r}; loaded models: {store.names()}")
     return model, name or store.default_name
-
-
-def _discard_futures(futures) -> None:
-    """Cancel predictions the handler will never collect.
-
-    Used on the shed and timeout paths. Futures still queued are
-    cancelled outright — the collector drops cancelled entries before
-    running the model, so no work is wasted on them
-    (``serve.cancelled``). Futures already batched or resolved cannot
-    be cancelled; their results are computed and dropped
-    (``serve.discarded``), counted so the wasted work is observable.
-    """
-    cancelled = sum(1 for future in futures if future.cancel())
-    if cancelled:
-        obs.incr("serve.cancelled", cancelled)
-    if len(futures) - cancelled:
-        obs.incr("serve.discarded", len(futures) - cancelled)
 
 
 # -- endpoints --------------------------------------------------------
@@ -279,38 +262,9 @@ def _handle_predict(app, doc: dict, ctx: RequestContext) -> Response:
     else:
         raise HTTPError(400, "request needs 'features' or 'instances'")
     ctx.batch_size = len(rows)
-    futures = []
-    try:
-        for row in rows:
-            futures.append(app.batcher.submit((model, row)))
-    except QueueSaturated as exc:
-        ctx.shed = True
-        # Shedding mid-batch must not leak the already-enqueued
-        # futures: nobody will collect them, so cancel them before the
-        # collector wastes model work on orphans. (A future the
-        # collector already picked up cannot be cancelled; its result
-        # is simply dropped — counted so the waste is visible.)
-        _discard_futures(futures)
-        raise HTTPError(
-            503, str(exc),
-            headers=[("Retry-After", str(exc.retry_after))])
-    # One wall-clock deadline for the whole request: waiting
-    # request_timeout *per future* would let a k-instance batch hold a
-    # handler thread for k times the configured bound.
-    deadline = perf_counter() + app.request_timeout
-    try:
-        with obs.span("serve.batch_wait", items=len(futures)):
-            predictions = []
-            for future in futures:
-                remaining = deadline - perf_counter()
-                if remaining <= 0:
-                    raise FutureTimeout()
-                predictions.append(future.result(timeout=remaining))
-    except FutureTimeout:
-        _discard_futures(futures)
-        raise HTTPError(
-            503, "prediction timed out",
-            headers=[("Retry-After", str(app.batcher.retry_after))])
+    # Scored inline on the handler thread: one assess is ~0.1 ms of
+    # CPU, so there is nothing for a queue to amortise or bound.
+    predictions = [prediction_payload(model, row) for row in rows]
     if not batched:
         return _json_response(200, predictions[0])
     return _json_response(
@@ -445,7 +399,7 @@ def handle_request(app, method: str, path: str, body: bytes,
     """Route one request and record its telemetry.
 
     ``app`` is the owning :class:`~repro.serve.server.PredictionServer`
-    (store, engine + lock, batcher, timeouts). ``headers`` is the
+    (store, extraction hop, access log). ``headers`` is the
     inbound header map (case-insensitive; used for ``traceparent``
     propagation and ``/metricz`` content negotiation). Never raises:
     every failure mode becomes a JSON error response with the right

@@ -30,9 +30,9 @@ def prediction_payload(
 
     Predictions are computed per row through the exact same
     :meth:`~repro.core.model.SecurityModel.assess` call the offline
-    CLI uses — micro-batching amortises queue and dispatch overhead but
-    never vectorises across rows, so a batched response is bit-equal to
-    a one-at-a-time response.
+    CLI uses — ``/predict`` calls this once per row and never
+    vectorises across rows, so an ``instances`` response is bit-equal
+    to one-at-a-time responses.
     """
     assessment = model.assess(features)
     return {

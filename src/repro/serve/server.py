@@ -4,20 +4,21 @@
 :class:`~repro.serve.modelstore.ModelStore`, one shared
 :class:`~repro.engine.ExtractionEngine` handle (so the feature cache,
 worker pool, and failure policies apply to served traffic exactly as
-they do offline), the :class:`~repro.serve.batching.MicroBatcher`, and
-the :mod:`repro.obs` session ``/metricz`` reads. Each HTTP exchange is
-delegated to :func:`repro.serve.handlers.handle_request`; handler
-threads only touch thread-safe state (metrics instruments, the
-batcher's queue, the engine behind its lock).
+they do offline), and the :mod:`repro.obs` session ``/metricz`` reads.
+Each HTTP exchange is delegated to
+:func:`repro.serve.handlers.handle_request`; handler threads only touch
+thread-safe state (metrics instruments, the read-only models, the
+engine behind its lock).
 
 Endpoints:
 
 - ``GET /healthz`` — build identity (package version), loaded models,
-  engine and batching configuration.
+  engine configuration.
 - ``GET /metricz`` — the metrics registry snapshot as JSON.
 - ``POST /predict`` — ``{"features": {...}}`` or
   ``{"instances": [{...}, ...]}``, optional ``"model": NAME``;
-  micro-batched, byte-identical to the offline prediction path.
+  scored on the handler thread, byte-identical to the offline
+  prediction path.
 - ``POST /analyze`` — ``{"path": DIR}`` or ``{"paths": [...]}``,
   optional ``"model"``/``"dynamic"``; extraction through the shared
   engine, byte-identical to ``repro analyze --json``.
@@ -33,19 +34,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs, package_version
-from repro.core.model import SecurityModel
 from repro.engine import ExtractionEngine
 from repro.lang import Codebase
 from repro.obs.slo import SloRule, evaluate_slos
 from repro.serve.accesslog import AccessLog
-from repro.serve.batching import MicroBatcher
 from repro.serve.handlers import handle_request
 from repro.serve.modelstore import ModelStore
-from repro.serve.payloads import SCHEMA_VERSION, prediction_payload
-
-#: How long a handler thread waits for its batched prediction before
-#: giving up with a 503 (covers a wedged or stopped collector).
-DEFAULT_REQUEST_TIMEOUT = 30.0
+from repro.serve.payloads import SCHEMA_VERSION
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
@@ -89,36 +84,28 @@ class ServingApp:
 
     Owns everything :func:`~repro.serve.handlers.handle_request` needs
     from its ``app`` — the model-store snapshot (and its blue/green
-    reload), the prediction micro-batcher, timeouts, SLO rules, and the
-    access log. Subclasses add a transport (threaded ``http.server`` or
-    asyncio) and an extraction strategy (:meth:`analyze_one`).
+    reload), SLO rules, and the access log. Subclasses add a transport
+    (threaded ``http.server`` or asyncio) and an extraction strategy
+    (:meth:`analyze_one`).
 
     Args:
         store: validated model bundles (first one is the default).
-        batch_window/batch_size/queue_depth: micro-batching knobs (see
-            :class:`~repro.serve.batching.MicroBatcher`).
-        request_timeout: per-request wait bound on batched predictions.
         slo_rules: optional :class:`~repro.obs.slo.SloRule` sequence;
             ``/healthz`` evaluates them against the live metrics
             snapshot and reports ``status: degraded`` on any breach.
         access_log: optional path; each finished request appends one
             structured JSON line (method, path, status, duration,
-            trace ID, batching facts) there.
+            trace ID, rows scored, shed flag) there.
     """
 
     def __init__(
         self,
         store: ModelStore,
-        batch_window: float = 0.01,
-        batch_size: int = 16,
-        queue_depth: int = 64,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         slo_rules: Optional[Sequence[SloRule]] = None,
         access_log: Optional[str] = None,
     ):
         self._store = store
         self._reload_lock = threading.Lock()
-        self.request_timeout = request_timeout
         self.slo_rules = tuple(slo_rules or ())
         self.access_log = AccessLog(access_log) if access_log else None
         # /metricz needs a registry even when the CLI passed no
@@ -126,12 +113,6 @@ class ServingApp:
         # clobbering the one main() configured.
         if not obs.is_enabled():
             obs.configure()
-        self.batcher = MicroBatcher(
-            self._predict_batch,
-            batch_window=batch_window,
-            batch_size=batch_size,
-            queue_depth=queue_depth,
-        )
 
     # -- models: snapshot + blue/green reload --------------------------
 
@@ -195,25 +176,10 @@ class ServingApp:
         """The extraction backend's identity block for ``/healthz``."""
         raise NotImplementedError
 
-    # -- the batched model hop ----------------------------------------
-
-    @staticmethod
-    def _predict_batch(
-        items: List[Tuple[SecurityModel, Dict[str, float]]]
-    ) -> List[Dict[str, object]]:
-        """Resolve one micro-batch; runs on the collector thread.
-
-        Per-row ``assess`` inside the batch keeps responses bit-equal
-        to the offline path; the batching win is amortised queue and
-        thread wakeup overhead, not cross-row vectorisation.
-        """
-        return [prediction_payload(model, row) for model, row in items]
-
     # -- shared lifecycle ---------------------------------------------
 
     def _shutdown_app(self) -> None:
-        """Stop the shared app pieces (batcher, access log)."""
-        self.batcher.stop()
+        """Stop the shared app pieces (the access log)."""
         if self.access_log is not None:
             self.access_log.close()
 
@@ -229,8 +195,9 @@ class ServingApp:
         With SLO rules loaded, the document gains an ``slo`` block
         (verdict, breached rule names, rule count) evaluated against
         the live metrics snapshot, and ``status`` flips to
-        ``"degraded"`` on any breach. Without rules the document keeps
-        its historical shape — ``status`` is always ``"ok"``.
+        ``"degraded"`` on any breach. Without rules the document has no
+        ``slo`` block, and ``status`` stays ``"ok"`` unless a tier
+        reports a broken backend (the async tier's engine pool).
         """
         store = self.store
         doc: Dict[str, object] = {
@@ -240,11 +207,6 @@ class ServingApp:
             "models": store.describe(),
             "models_version": store.version,
             "engine": self.engine_shape(),
-            "batching": {
-                "window_s": self.batcher.batch_window,
-                "max_size": self.batcher.batch_size,
-                "queue_depth": self.batcher.queue_depth,
-            },
         }
         if self.slo_rules:
             session = obs.active()
@@ -288,22 +250,10 @@ class PredictionServer(ServingApp):
         engine: Optional[ExtractionEngine] = None,
         host: str = "127.0.0.1",
         port: int = 8080,
-        batch_window: float = 0.01,
-        batch_size: int = 16,
-        queue_depth: int = 64,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         slo_rules: Optional[Sequence[SloRule]] = None,
         access_log: Optional[str] = None,
     ):
-        super().__init__(
-            store,
-            batch_window=batch_window,
-            batch_size=batch_size,
-            queue_depth=queue_depth,
-            request_timeout=request_timeout,
-            slo_rules=slo_rules,
-            access_log=access_log,
-        )
+        super().__init__(store, slo_rules=slo_rules, access_log=access_log)
         self.engine = engine if engine is not None \
             else ExtractionEngine.from_env()
         self.engine_lock = threading.Lock()
@@ -335,7 +285,6 @@ class PredictionServer(ServingApp):
 
     def start(self) -> None:
         """Serve in a background thread (tests and embedding)."""
-        self.batcher.start()
         self._thread = threading.Thread(
             target=self.httpd.serve_forever, name="repro-serve-http",
             daemon=True)
@@ -343,11 +292,10 @@ class PredictionServer(ServingApp):
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (the CLI path); blocks."""
-        self.batcher.start()
         self.httpd.serve_forever()
 
     def stop(self) -> None:
-        """Stop accepting, close the socket, stop the batcher."""
+        """Stop accepting, close the socket and the access log."""
         self.httpd.shutdown()
         self.httpd.server_close()
         if self._thread is not None:

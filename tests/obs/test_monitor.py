@@ -42,6 +42,12 @@ class TestRenderDashboard:
         # non-latency histograms stay out of the table
         assert "/batch_size" not in frame
 
+    def test_shed_sums_every_refusal_counter(self):
+        frame = render_dashboard(snapshot(counters={
+            "serve.requests": 10.0, "serve.aio.shed": 2.0,
+            "serve.pool.shed": 1.0}), clock=0.0)
+        assert "shed=3 (30.0%)" in frame
+
     def test_rates_derive_from_previous_snapshot(self):
         previous = snapshot(counters={"serve.requests": 40.0})
         frame = render_dashboard(SERVING, previous=previous, elapsed=2.0,
@@ -56,9 +62,10 @@ class TestRenderDashboard:
         frame = render_dashboard(SERVING, clock=0.0)
         assert "cache     rows hit=75.0% (30/40)" in frame
 
-    def test_batching_section_only_with_samples(self):
-        assert "batching" in render_dashboard(SERVING, clock=0.0)
-        assert "batching" not in render_dashboard(snapshot(), clock=0.0)
+    def test_no_batching_section(self):
+        # /predict scores inline; an old daemon's serve.batch_size
+        # histogram is not rendered as a section of its own
+        assert "batching" not in render_dashboard(SERVING, clock=0.0)
 
     def test_slo_section_renders_verdict(self):
         rule = SloRule(name="error-budget", kind="counter_max",

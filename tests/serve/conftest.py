@@ -2,8 +2,8 @@
 
 The server fixture binds port 0 (a free port) and runs the real
 `ThreadingHTTPServer` in a background thread, so the suite exercises
-actual sockets, concurrent handler threads, and the micro-batcher —
-not a mocked transport.
+actual sockets and concurrent handler threads — not a mocked
+transport.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.serve import ModelStore, PredictionServer
+from repro.engine import EngineConfig
+from repro.serve import AsyncPredictionServer, ModelStore, PredictionServer
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +33,25 @@ def store(model_file):
     return ModelStore.from_specs([f"default={model_file}"])
 
 
+@pytest.fixture(params=["thread", "async"])
+def tier_server(request, model_file):
+    """A live server on each tier, with a fresh single-model store."""
+    store = ModelStore.from_specs([f"default={model_file}"])
+    if request.param == "thread":
+        srv = PredictionServer(store, port=0)
+    else:
+        srv = AsyncPredictionServer(
+            store, config=EngineConfig(no_cache=True), port=0,
+            pool_size=1)
+    srv.start()
+    yield srv
+    srv.stop()
+    obs.disable()
+
+
 @pytest.fixture
 def server(store):
-    srv = PredictionServer(store, port=0, batch_window=0.005)
+    srv = PredictionServer(store, port=0)
     srv.start()
     yield srv
     srv.stop()

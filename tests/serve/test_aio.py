@@ -17,7 +17,7 @@ import pytest
 from repro import obs, package_version
 from repro.cli import main
 from repro.engine import EngineConfig
-from repro.serve import AsyncPredictionServer, ModelStore
+from repro.serve import AsyncPredictionServer, handlers
 from repro.serve.payloads import dump_payload
 
 from tests.serve.conftest import http as fire
@@ -48,8 +48,7 @@ def offline_json(capsys, *argv):
 @pytest.fixture
 def aserver(store):
     srv = AsyncPredictionServer(
-        store, config=EngineConfig(no_cache=True), port=0, pool_size=1,
-        batch_window=0.005)
+        store, config=EngineConfig(no_cache=True), port=0, pool_size=1)
     srv.start()
     yield srv
     srv.stop()
@@ -150,21 +149,22 @@ class TestConcurrency:
             t.join(timeout=30)
         assert statuses == [200] * 12
 
-    def test_loop_sheds_beyond_max_inflight(self, store, tree, capsys):
+    def test_loop_sheds_beyond_max_inflight(self, store, tree, capsys,
+                                            monkeypatch):
         """With max_inflight=1 and a wedged model hop, the second
         request is refused at the loop with 503 + Retry-After — the
         daemon answers under overload instead of queueing silently."""
         srv = AsyncPredictionServer(
             store, config=EngineConfig(no_cache=True), port=0,
-            pool_size=1, max_inflight=1, batch_window=0.0)
+            pool_size=1, max_inflight=1)
         release = threading.Event()
-        fast_path = srv.batcher._process
+        fast_path = handlers.prediction_payload
 
-        def blocked(items):
+        def blocked(model, row):
             release.wait(timeout=15)
-            return fast_path(items)
+            return fast_path(model, row)
 
-        srv.batcher._process = blocked
+        monkeypatch.setattr(handlers, "prediction_payload", blocked)
         srv.start()
         try:
             features = json.loads(offline_json(capsys, tree))["features"]

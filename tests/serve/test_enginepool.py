@@ -127,8 +127,52 @@ class TestLifecycle:
         assert shape["size"] == 1
         assert shape["in_use"] == 0
         assert shape["checkout_timeout"] == 5.0
+        assert shape["rebuilds_left"] == 1
+        assert shape["broken"] is False
         assert shape["engine"]["workers"] == 1
 
     def test_prestart_spawns_workers(self, pool, codebase):
         pool.prestart()
         assert pool.extract_one(codebase)
+
+
+class TestWorkerDeath:
+    def test_second_death_marks_pool_broken_and_health_degraded(
+            self, store, tmp_path, monkeypatch):
+        """One worker death is rebuilt and retried; the second exhausts
+        the rebuild budget, and /healthz must stop saying ok."""
+        from repro import obs
+        from repro.serve import AsyncPredictionServer
+
+        trees = {}
+        for name in ("survivor", "doomed"):
+            directory = tmp_path / name
+            directory.mkdir()
+            (directory / "app.c").write_text(SOURCE)
+            trees[name] = Codebase.from_directory(str(directory))
+        monkeypatch.setenv(
+            "REPRO_FAULTS",
+            f"survivor=kill_once:{tmp_path / 'spent'};doomed=kill")
+        server = AsyncPredictionServer(
+            store, config=EngineConfig(no_cache=True), port=0,
+            pool_size=1)
+        try:
+            assert server.analyze_one(trees["survivor"])
+            health = server.health()
+            assert health["status"] == "ok"
+            assert health["pool"]["rebuilds_left"] == 0
+            assert health["pool"]["broken"] is False
+
+            with pytest.raises(RuntimeError, match="died twice"):
+                server.analyze_one(trees["doomed"])
+            health = server.health()
+            assert health["status"] == "degraded"
+            assert health["pool"]["rebuilds_left"] == 0
+            assert health["pool"]["broken"] is True
+            # a broken pool refuses at once instead of resubmitting
+            with pytest.raises(RuntimeError, match="died twice"):
+                server.analyze_records(trees["survivor"])
+            assert server.pool.in_use == 0
+        finally:
+            server.stop()
+            obs.disable()

@@ -39,10 +39,8 @@ RISKY_C = (
 
 @pytest.fixture
 def app(store):
-    server = PredictionServer(store, port=0, batch_window=0.005)
-    server.batcher.start()
+    server = PredictionServer(store, port=0)
     yield server
-    server.batcher.stop()
     server.httpd.server_close()
     obs.disable()
 

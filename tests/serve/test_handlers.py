@@ -1,8 +1,6 @@
 """Transport-free routing/validation tests via handle_request."""
 
 import json
-import threading
-import time
 
 import pytest
 
@@ -14,10 +12,8 @@ from repro.serve.handlers import HTTPError, Response, handle_request
 
 @pytest.fixture
 def app(store):
-    server = PredictionServer(store, port=0, batch_window=0.005)
-    server.batcher.start()  # handlers need the collector, not the socket
+    server = PredictionServer(store, port=0)
     yield server
-    server.batcher.stop()
     server.httpd.server_close()
     obs.disable()
 
@@ -116,110 +112,6 @@ class TestAnalyzeValidation:
         response, _ = call(app, "POST", "/analyze",
                            {"path": "x", "dynamic": "yes"})
         assert response.status == 400
-
-
-@pytest.fixture
-def app_factory(store):
-    """Build PredictionServers with custom batching/timeout knobs."""
-    servers = []
-
-    def make(**kwargs):
-        server = PredictionServer(store, port=0, **kwargs)
-        servers.append(server)
-        return server
-
-    yield make
-    for server in servers:
-        server.batcher.stop()
-        server.httpd.server_close()
-    obs.disable()
-
-
-class TestOverloadPaths:
-    """The shed and timeout paths must not leak or waste model work."""
-
-    def test_shed_mid_batch_cancels_enqueued_futures(self, app_factory):
-        """A 503 on instance k must orphan zero already-queued rows.
-
-        Regression: shedding mid-submit re-raised immediately, leaving
-        the first k-1 futures queued; the collector then ran the model
-        on rows nobody would ever collect.
-        """
-        app = app_factory(batch_window=0.0, batch_size=1, queue_depth=2,
-                          request_timeout=5.0)
-        release = threading.Event()
-        processed = []
-        real_process = app.batcher._process
-
-        def slow_process(items):
-            release.wait(timeout=10)
-            processed.extend(items)
-            return real_process(items)
-
-        app.batcher._process = slow_process
-        app.batcher.start()
-        try:
-            model = app.store.get(None)
-            # occupy the collector so queued entries stay queued
-            first = app.batcher.submit((model, dict(FEATURES)))
-            time.sleep(0.1)
-            obs.configure()
-            # depth 2: instances 1 and 2 queue, instance 3 sheds
-            response, doc = call(
-                app, "POST", "/predict",
-                {"instances": [FEATURES, FEATURES, FEATURES]})
-            assert response.status == 503
-            assert ("Retry-After", "1") in response.headers
-            counters = obs.active().metrics.snapshot()["counters"]
-            assert counters["serve.shed"] == 1
-            assert counters["serve.cancelled"] == 2
-            assert "serve.discarded" not in counters
-            release.set()
-            first.result(timeout=5)
-            # the collector must drop both orphans without model work
-            for _ in range(100):
-                if app.batcher._queue.empty():
-                    break
-                time.sleep(0.02)
-            time.sleep(0.1)
-            assert len(processed) == 1
-        finally:
-            release.set()
-
-    def test_timeout_is_one_wall_clock_deadline(self, app_factory):
-        """request_timeout bounds the whole batch, not each future.
-
-        With batch_size=1 and a model that takes ~0.25 s per batch,
-        four instances resolve at 0.25 s intervals. Waiting 0.5 s *per
-        future* would always make incremental progress and return 200
-        after ~1 s; a single 0.5 s deadline must 503 at ~0.5 s.
-        """
-        app = app_factory(batch_window=0.0, batch_size=1, queue_depth=8,
-                          request_timeout=0.5)
-        real_process = app.batcher._process
-
-        def slow_process(items):
-            time.sleep(0.25)
-            return real_process(items)
-
-        app.batcher._process = slow_process
-        app.batcher.start()
-        obs.configure()
-        started = time.perf_counter()
-        response, doc = call(
-            app, "POST", "/predict",
-            {"instances": [FEATURES, FEATURES, FEATURES, FEATURES]})
-        elapsed = time.perf_counter() - started
-        assert response.status == 503
-        assert "timed out" in doc["error"]
-        assert ("Retry-After", "1") in response.headers
-        # well under the 4 x 0.25 s the compounding bug needed
-        assert elapsed < 0.9
-        counters = obs.active().metrics.snapshot()["counters"]
-        # the uncollected tail was cancelled and/or dropped, never lost
-        leftovers = counters.get("serve.cancelled", 0) \
-            + counters.get("serve.discarded", 0)
-        assert leftovers >= 1
 
 
 class TestHeaderAliasing:

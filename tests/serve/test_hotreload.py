@@ -20,13 +20,6 @@ import urllib.request
 
 import pytest
 
-from repro import obs
-from repro.engine import EngineConfig
-from repro.serve import (
-    AsyncPredictionServer,
-    ModelStore,
-    PredictionServer,
-)
 from repro.serve.payloads import dump_payload
 
 from tests.serve.conftest import http as fire
@@ -49,21 +42,6 @@ def tree(tmp_path):
     return str(d)
 
 
-@pytest.fixture(params=["thread", "async"])
-def hotserver(request, model_file):
-    store = ModelStore.from_specs([f"default={model_file}"])
-    if request.param == "thread":
-        srv = PredictionServer(store, port=0, batch_window=0.005)
-    else:
-        srv = AsyncPredictionServer(
-            store, config=EngineConfig(no_cache=True), port=0,
-            pool_size=1, batch_window=0.005)
-    srv.start()
-    yield srv
-    srv.stop()
-    obs.disable()
-
-
 def server_features(server, tree):
     """A feature row computed by the live server itself."""
     status, _, body = fire(server, "POST", "/analyze", {"path": tree})
@@ -72,50 +50,50 @@ def server_features(server, tree):
 
 
 class TestModelsEndpoint:
-    def test_get_lists_the_live_snapshot(self, hotserver):
-        status, _, body = fire(hotserver, "GET", "/models")
+    def test_get_lists_the_live_snapshot(self, tier_server):
+        status, _, body = fire(tier_server, "GET", "/models")
         assert status == 200
         doc = json.loads(body)
         assert doc["version"] == 1
         assert doc["default"] == "default"
         assert doc["models"][0]["name"] == "default"
 
-    def test_rescan_bumps_version_keeps_models(self, hotserver):
-        status, _, body = fire(hotserver, "POST", "/models", {})
+    def test_rescan_bumps_version_keeps_models(self, tier_server):
+        status, _, body = fire(tier_server, "POST", "/models", {})
         assert status == 200
         doc = json.loads(body)
         assert doc["version"] == 2
         assert doc["previous_version"] == 1
         assert doc["default"] == "default"
-        status, _, body = fire(hotserver, "GET", "/models")
+        status, _, body = fire(tier_server, "GET", "/models")
         assert json.loads(body)["version"] == 2
 
-    def test_bad_specs_payloads_are_rejected(self, hotserver):
+    def test_bad_specs_payloads_are_rejected(self, tier_server):
         for bad in ({"models": []}, {"models": "x=y"},
                     {"models": [7]}, {"rescan": False}):
-            status, _, _ = fire(hotserver, "POST", "/models", bad)
+            status, _, _ = fire(tier_server, "POST", "/models", bad)
             assert status == 400
 
     def test_corrupt_replacement_leaves_old_store_serving(
-            self, hotserver, tmp_path, tree):
+            self, tier_server, tmp_path, tree):
         bad = tmp_path / "corrupt.pkl"
         bad.write_bytes(b"this is not a pickled model")
         status, _, body = fire(
-            hotserver, "POST", "/models",
+            tier_server, "POST", "/models",
             {"models": [f"default={bad}"]})
         assert status == 400
         assert "not a readable model file" in json.loads(body)["error"]
         # old snapshot untouched: version 1, predictions still answer
-        status, _, body = fire(hotserver, "GET", "/models")
+        status, _, body = fire(tier_server, "GET", "/models")
         assert json.loads(body)["version"] == 1
-        features = server_features(hotserver, tree)
-        status, _, _ = fire(hotserver, "POST", "/predict",
+        features = server_features(tier_server, tree)
+        status, _, _ = fire(tier_server, "POST", "/predict",
                             {"features": features})
         assert status == 200
 
-    def test_missing_file_replacement_rejected(self, hotserver):
+    def test_missing_file_replacement_rejected(self, tier_server):
         status, _, body = fire(
-            hotserver, "POST", "/models",
+            tier_server, "POST", "/models",
             {"models": ["default=/nonexistent/model.pkl"]})
         assert status == 400
         assert "cannot read model file" in json.loads(body)["error"]
@@ -123,13 +101,13 @@ class TestModelsEndpoint:
 
 class TestSwapUnderLoad:
     def test_concurrent_requests_across_swap_zero_errors(
-            self, hotserver, model_file, tree):
+            self, tier_server, model_file, tree):
         """Clients hammering /predict across a blue/green swap must see
         only complete responses: every body byte-identical to the
         pre-swap snapshot's output or the post-swap one's, all 200."""
-        features = server_features(hotserver, tree)
+        features = server_features(tier_server, tree)
         doc = {"instances": [features]}
-        status, _, pre = fire(hotserver, "POST", "/predict", doc)
+        status, _, pre = fire(tier_server, "POST", "/predict", doc)
         assert status == 200
         assert json.loads(pre)["model"] == "default"
         # Same underlying model file, renamed: predictions identical,
@@ -143,7 +121,7 @@ class TestSwapUnderLoad:
 
         def hammer():
             while not stop.is_set():
-                result = fire(hotserver, "POST", "/predict", doc)
+                result = fire(tier_server, "POST", "/predict", doc)
                 with lock:
                     results.append(result)
 
@@ -152,7 +130,7 @@ class TestSwapUnderLoad:
             t.start()
         time.sleep(0.3)
         status, _, body = fire(
-            hotserver, "POST", "/models",
+            tier_server, "POST", "/models",
             {"models": [f"blue={model_file}"]})
         assert status == 200
         assert json.loads(body)["version"] == 2
@@ -165,7 +143,7 @@ class TestSwapUnderLoad:
             assert status == 200
             assert body in (pre, expected_post)
         # the swap must actually have become visible
-        status, _, body = fire(hotserver, "POST", "/predict", doc)
+        status, _, body = fire(tier_server, "POST", "/predict", doc)
         assert status == 200
         assert body == expected_post
 

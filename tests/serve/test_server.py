@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs, package_version
 from repro.cli import main
-from repro.serve import ModelStore, PredictionServer
+from repro.serve import PredictionServer, handlers
 from repro.serve.payloads import dump_payload
 
 from tests.serve.conftest import http
@@ -53,7 +53,7 @@ class TestHealth:
         assert doc["version"] == package_version()
         assert doc["models"][0]["name"] == "default"
         assert doc["engine"]["workers"] >= 1
-        assert doc["batching"]["queue_depth"] == 64
+        assert "batching" not in doc
 
     def test_port_zero_binds_a_real_port(self, server):
         assert server.port > 0
@@ -139,87 +139,87 @@ class TestConcurrency:
         snapshot = json.loads(body)
         assert snapshot["counters"]["serve.requests"] >= 3
         assert snapshot["histograms"]["serve.predict.seconds"]["count"] >= 1
-        assert snapshot["histograms"]["serve.batch_size"]["count"] >= 1
+        assert "serve.batch_size" not in snapshot["histograms"]
 
 
-class TestLoadShedding:
+class TestWedgedModel:
+    """The thread tier scores on the handler thread: a wedged model
+    call holds its own request only, never the daemon."""
+
     @pytest.fixture
-    def congested(self, store):
-        """A server whose model hop blocks until `release` is set.
-
-        batch_size=1 and queue_depth=1 mean: one request in flight, one
-        queued, everything else must shed with 503 + Retry-After.
-        """
-        server = PredictionServer(
-            store, port=0, batch_window=0.0, batch_size=1, queue_depth=1)
+    def wedged(self, server, monkeypatch):
+        """``server`` whose first ``wedge_count`` scorings block until
+        ``release`` is set; later scorings run normally."""
         release = threading.Event()
-        fast_path = server.batcher._process
-
-        def blocked(items):
-            release.wait(timeout=10)
-            return fast_path(items)
-
-        server.batcher._process = blocked
-        server.start()
-        yield server, release
-        release.set()
-        server.stop()
-        obs.disable()
-
-    def test_saturated_queue_returns_503_with_retry_after(
-            self, congested, tree, capsys):
-        server, release = congested
-        features = json.loads(offline_json(capsys, tree))["features"]
-        results = {}
+        entered = threading.Semaphore(0)
+        state = {"left": 0}
         lock = threading.Lock()
+        fast_path = handlers.prediction_payload
 
-        def fire(index):
-            result = http(server, "POST", "/predict",
-                          {"features": features})
+        def blocked(model, row):
             with lock:
-                results[index] = result
+                wedge = state["left"] > 0
+                state["left"] -= wedge
+            if wedge:
+                entered.release()
+                release.wait(timeout=10)
+            return fast_path(model, row)
 
-        threads = [threading.Thread(target=fire, args=(i,))
-                   for i in range(3)]
-        for t in threads:
-            t.start()
-            time.sleep(0.3)  # in-flight, queued, then overflow
-        started = time.perf_counter()
-        threads[2].join(timeout=5)
-        # the shed response must come back long before the model hop
-        # unblocks — a saturated server answers, it does not hang
-        assert time.perf_counter() - started < 5
-        status, headers, body = results[2]
-        assert status == 503
-        assert int(headers["Retry-After"]) >= 1
-        assert "queue is full" in json.loads(body)["error"]
+        def wedge(count):
+            state["left"] = count
+
+        monkeypatch.setattr(handlers, "prediction_payload", blocked)
+        yield server, wedge, entered, release
         release.set()
-        for t in threads:
-            t.join(timeout=10)
-        assert results[0][0] == 200
-        assert results[1][0] == 200
 
-    def test_server_survives_shedding(self, congested, tree, capsys):
-        """After a shed burst the daemon answers normally again."""
-        server, release = congested
+    def test_wedged_prediction_blocks_only_its_own_request(
+            self, wedged, tree, capsys):
+        server, wedge, entered, release = wedged
         features = json.loads(offline_json(capsys, tree))["features"]
+        wedge(1)
+        results = {}
+        holder = threading.Thread(target=lambda: results.update(
+            first=http(server, "POST", "/predict", {"features": features})))
+        holder.start()
+        assert entered.acquire(timeout=5)
+        started = time.perf_counter()
+        status, _, _ = http(server, "POST", "/predict",
+                            {"features": features})
+        assert status == 200
+        status, _, _ = http(server, "GET", "/healthz")
+        assert status == 200
+        # both answered while the first request is still wedged
+        assert time.perf_counter() - started < 5
+        assert "first" not in results
+        release.set()
+        holder.join(timeout=10)
+        assert results["first"][0] == 200
+
+    def test_server_survives_a_wedged_burst(self, wedged, tree, capsys):
+        """After a burst of wedged predictions the daemon answers
+        normally again and counts no errors."""
+        server, wedge, entered, release = wedged
+        features = json.loads(offline_json(capsys, tree))["features"]
+        wedge(6)
+        statuses = []
         threads = [
-            threading.Thread(
-                target=http,
-                args=(server, "POST", "/predict"),
-                kwargs={"doc": {"features": features}})
+            threading.Thread(target=lambda: statuses.append(http(
+                server, "POST", "/predict", {"features": features})[0]))
             for _ in range(6)
         ]
         for t in threads:
             t.start()
-        time.sleep(0.5)
+        for _ in threads:
+            assert entered.acquire(timeout=5)
         release.set()
         for t in threads:
             t.join(timeout=10)
-        status, _, body = http(server, "GET", "/healthz")
-        assert status == 200
+        assert statuses == [200] * 6
         status, _, body = http(server, "GET", "/metricz")
-        assert json.loads(body)["counters"].get("serve.shed", 0) >= 1
+        assert status == 200
+        counters = json.loads(body)["counters"]
+        assert counters["serve.requests"] >= 7
+        assert "serve.errors" not in counters
 
 
 class TestLifecycle:
@@ -241,5 +241,4 @@ class TestLifecycle:
             assert obs.active() is session
         finally:
             server.httpd.server_close()
-            server.batcher.stop()
             obs.disable()

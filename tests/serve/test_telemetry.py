@@ -30,10 +30,8 @@ SOURCE = (
 
 @pytest.fixture
 def app(store):
-    server = PredictionServer(store, port=0, batch_window=0.005)
-    server.batcher.start()
+    server = PredictionServer(store, port=0)
     yield server
-    server.batcher.stop()
     server.httpd.server_close()
     obs.disable()
 
@@ -171,8 +169,7 @@ class TestAnalyzeSpanTree:
             self, store, tmp_path):
         trace_path = str(tmp_path / "trace.jsonl")
         session = obs.configure(trace_path=trace_path)
-        server = PredictionServer(store, port=0, batch_window=0.005)
-        server.batcher.start()
+        server = PredictionServer(store, port=0)
         try:
             tree = tmp_path / "app"
             tree.mkdir()
@@ -184,7 +181,6 @@ class TestAnalyzeSpanTree:
                 headers={"traceparent": f"00-{trace}-00000000000000ff-01"})
             assert response.status == 200
         finally:
-            server.batcher.stop()
             server.httpd.server_close()
         assert session.write_trace() > 0
         obs.disable()

@@ -505,9 +505,10 @@ class TestServeParser:
         assert args.model == ["m.pkl"]
         assert args.host == "127.0.0.1"
         assert args.port == 8080
-        assert args.batch_window == 0.01
-        assert args.batch_size == 16
-        assert args.queue_depth == 64
+        assert args.server == "async"
+        assert args.pool_size == 2
+        for removed in ("batch_window", "batch_size", "queue_depth"):
+            assert not hasattr(args, removed)
 
     def test_models_accumulate_and_engine_flags_apply(self):
         from repro.cli import _engine_from_args, build_parser
