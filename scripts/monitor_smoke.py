@@ -52,7 +52,7 @@ SLO_RULES = {
          "histogram": "serve.predict.seconds", "stat": "p99",
          "max_seconds": 30.0},
         {"name": "shed-rate", "kind": "ratio_max",
-         "numerator": "serve.shed", "denominator": "serve.requests",
+         "numerator": "serve.aio.shed", "denominator": "serve.requests",
          "max_ratio": 0.5},
         {"name": "error-budget", "kind": "counter_max",
          "counter": "serve.errors", "max_value": 100},
@@ -229,7 +229,7 @@ def main() -> int:
         for _ in range(50):
             dst.write(json.dumps(
                 {"v": 1, "ts": time.time(), "type": "counter",
-                 "name": "serve.shed", "delta": 1.0}) + "\n")
+                 "name": "serve.aio.shed", "delta": 1.0}) + "\n")
     check = run_cli("slo-check", "--slo", slo_path,
                     "--stream", breached_path)
     if check.returncode == 0:

@@ -21,11 +21,13 @@ Sharing notes (why reuse cannot change results):
 
 - ``FunctionInfo.body_tokens`` produced by the parser are already
   code-filtered, so analyzers that re-filter them get the same list back.
-- CFG node ids come from a per-build counter, so a CFG built here is
-  structurally identical to one an analyzer would have built itself; the
-  control-flow consumer reads metrics and the data-flow consumer runs
-  read-only fixpoints. The path metrics walk a memoized back-edge-free
-  DAG (``CFG._dag``) and never mutate the graph.
+- CFG node ids are list indices assigned in lowering order, so a CFG
+  built here is identical to one an analyzer would have built itself.
+  Its ``kinds``/``stmts``/``succs`` lists are never mutated after the
+  build: the control-flow consumer reads metrics, the data-flow
+  consumer runs read-only fixpoints, and the memoized views
+  (``CFG.preds``, and the back-edge-free DAG ``CFG._dag`` the path
+  metrics walk) cannot go stale.
 - ``extract_classes`` fills in ``FunctionInfo.owner`` on the shared
   function list; no analyzer reads ``owner`` from a fresh extraction, so
   the mutation is unobservable.

@@ -10,12 +10,9 @@ cross-checks the token-counting McCabe implementation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.lang.parser import FunctionInfo, extract_functions
 from repro.lang.sourcefile import Codebase, SourceFile
@@ -414,21 +411,30 @@ def parse_statements(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CFG:
-    """A function's control-flow graph plus derived metrics."""
+    """A function's control-flow graph plus derived metrics.
 
-    graph: nx.DiGraph
+    Nodes are the ints ``0 .. n_nodes - 1``. ``kinds[n]`` and
+    ``stmts[n]`` describe node ``n``; ``succs[n]`` lists its successors
+    once each, in the order the lowering first added the edge. The
+    lists are never mutated after :func:`build_cfg` returns, so the
+    derived views below are memoized.
+    """
+
+    kinds: List[str]
+    stmts: List[Optional[Stmt]]
+    succs: List[List[int]]
     entry: int
     exit: int
 
     @property
     def n_nodes(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.kinds)
 
     @property
     def n_edges(self) -> int:
-        return self.graph.number_of_edges()
+        return sum(map(len, self.succs))
 
     @property
     def cyclomatic(self) -> int:
@@ -437,7 +443,16 @@ class CFG:
 
     @property
     def n_branch_nodes(self) -> int:
-        return sum(1 for n in self.graph if self.graph.out_degree(n) > 1)
+        return sum(1 for out in self.succs if len(out) > 1)
+
+    @cached_property
+    def preds(self) -> List[List[int]]:
+        """Predecessor lists, the reverse of :attr:`succs`."""
+        preds: List[List[int]] = [[] for _ in self.kinds]
+        for node, out in enumerate(self.succs):
+            for succ in out:
+                preds[succ].append(node)
+        return preds
 
     def path_count(self, cap: int = 10**9) -> int:
         """Number of acyclic entry→exit paths (NPATH-like), capped.
@@ -448,60 +463,61 @@ class CFG:
         walk covers reachable nodes only.
         """
         order, succs = self._dag
-        counts = {self.entry: 1}
+        counts = [0] * len(self.kinds)
+        counts[self.entry] = 1
         for node in order:
-            c = counts.get(node, 0)
-            if c == 0 and node != self.entry:
+            c = counts[node]
+            if not c:
                 continue
             for succ in succs[node]:
-                counts[succ] = min(cap, counts.get(succ, 0) + c)
-        return counts.get(self.exit, 0)
+                total = counts[succ] + c
+                counts[succ] = total if total < cap else cap
+        return counts[self.exit]
 
     def max_depth(self) -> int:
         """Longest acyclic path length from entry (statement depth proxy)."""
         order, succs = self._dag
-        depth = {self.entry: 0}
+        # -1 marks nodes no walk from entry has reached.
+        depth = [-1] * len(self.kinds)
+        depth[self.entry] = 0
         for node in order:
-            if node not in depth:
+            d = depth[node]
+            if d < 0:
                 continue
+            d += 1
             for succ in succs[node]:
-                depth[succ] = max(depth.get(succ, 0), depth[node] + 1)
-        return max(depth.values(), default=0)
+                if depth[succ] < d:
+                    depth[succ] = d
+        return max(depth)
 
     @cached_property
     def _dag(self):
-        """Shared back-edge-free DAG: both path metrics walk the same one.
-
-        ``cached_property`` stores into ``__dict__`` directly, which the
-        frozen dataclass permits; the graph is never mutated after build,
-        so the cache cannot go stale.
-        """
-        return _acyclic_dag(self.graph, self.entry)
+        """Shared back-edge-free DAG: both path metrics walk the same one."""
+        return _acyclic_dag(self.succs, self.entry)
 
 
-def _acyclic_dag(graph: nx.DiGraph, entry: int):
-    """Back-edge-free reachable DAG of ``graph``, as plain containers.
+def _acyclic_dag(adj: List[List[int]], entry: int):
+    """Back-edge-free reachable DAG of the graph ``adj``.
 
     Returns ``(order, succs)`` where ``order`` is a topological order
     (DFS reverse postorder) of the nodes reachable from ``entry`` and
-    ``succs`` maps each of them to its non-back successors. One DFS
-    classifies back edges (targets on the active DFS stack) and produces
-    the ordering; no graph copy or networkx traversal is needed.
+    ``succs[n]`` lists the non-back successors of each of them (empty
+    for unreachable nodes). One DFS classifies back edges (targets on
+    the active DFS stack) and produces the ordering. Which edges count
+    as back edges depends on the successor order in ``adj``.
     """
     # State: 0 unvisited, 1 on the active DFS path, 2 finished.
-    state: dict = {entry: 1}
-    succs: dict = {}
-    postorder: list = []
-    # Raw successor dicts: ``graph.successors`` re-resolves the adjacency
-    # mapping per call, and this DFS touches it once per node.
-    adj = graph._succ
+    state = [0] * len(adj)
+    state[entry] = 1
+    succs: List[List[int]] = [[] for _ in adj]
+    postorder: List[int] = []
     stack = [(entry, iter(adj[entry]))]
     while stack:
         node, it = stack[-1]
         advanced = False
-        keep = succs.setdefault(node, [])
+        keep = succs[node]
         for succ in it:
-            s = state.get(succ, 0)
+            s = state[succ]
             if s == 1:
                 continue  # back edge: drop it from the DAG
             keep.append(succ)
@@ -522,44 +538,40 @@ class _CFGBuilder:
     """Lowers a statement tree to a CFG of abstract nodes."""
 
     def __init__(self) -> None:
-        # Nodes and edges are buffered and inserted into the DiGraph in
-        # one batch at the end of ``build`` — networkx pays real per-call
-        # cost in ``add_node``/``add_edge``, and the lowering never needs
-        # to query the graph while it grows. Append order matches the
-        # old call order exactly, so adjacency iteration order (which the
-        # back-edge DFS in ``_acyclic_dag`` depends on) is unchanged.
-        self._nodes: List[Tuple[int, dict]] = []
-        self._edges: List[Tuple[int, int]] = []
-        self._ids = itertools.count()
+        self.kinds: List[str] = []
+        self.stmts: List[Optional[Stmt]] = []
+        self.succs: List[List[int]] = []
         self.entry = self._new("entry")
         self.exit = self._new("exit")
         self._labels: dict = {}
         self._pending_gotos: List[Tuple[int, str]] = []
 
     def _new(self, kind: str, stmt: Optional[Stmt] = None) -> int:
-        node = next(self._ids)
-        self._nodes.append((node, {"kind": kind, "stmt": stmt}))
+        node = len(self.kinds)
+        self.kinds.append(kind)
+        self.stmts.append(stmt)
+        self.succs.append([])
         return node
+
+    def _edge(self, u: int, v: int) -> None:
+        # A repeated edge keeps its first position, as a DiGraph would.
+        out = self.succs[u]
+        if v not in out:
+            out.append(v)
 
     def build(self, stmts: List[Stmt]) -> CFG:
         tails = self._lower_seq(stmts, [self.entry], None, None)
-        edges = self._edges
         for tail in tails:
-            edges.append((tail, self.exit))
+            self._edge(tail, self.exit)
         for node, label in self._pending_gotos:
-            edges.append((node, self._labels.get(label, self.exit)))
-        entry = self.entry
-        if not any(u == entry for u, _ in edges):
-            edges.append((entry, self.exit))
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._nodes)
-        graph.add_edges_from(edges)
-        return CFG(graph, entry, self.exit)
+            self._edge(node, self._labels.get(label, self.exit))
+        if not self.succs[self.entry]:
+            self._edge(self.entry, self.exit)
+        return CFG(self.kinds, self.stmts, self.succs, self.entry, self.exit)
 
     def _connect(self, preds: List[int], node: int) -> None:
-        edges = self._edges
         for p in preds:
-            edges.append((p, node))
+            self._edge(p, node)
 
     def _lower_seq(
         self,
@@ -604,8 +616,8 @@ class _CFGBuilder:
             self._connect(preds, head)
             body_tails = self._lower_seq(stmt.body, [head], after, head)
             for tail in body_tails:
-                self._edges.append((tail, head))
-            self._edges.append((head, after))
+                self._edge(tail, head)
+            self._edge(head, after)
             return [after]
         if kind == "switch":
             head = self._new("branch", stmt)
@@ -615,8 +627,8 @@ class _CFGBuilder:
             for arm in arms:
                 tails = self._lower_seq(arm, [head], after, continue_to)
                 for tail in tails:
-                    self._edges.append((tail, after))
-            self._edges.append((head, after))  # no-match / fallthrough
+                    self._edge(tail, after)
+            self._edge(head, after)  # no-match / fallthrough
             return [after]
         if kind == "try":
             head = self._new("stmt", stmt)
@@ -630,19 +642,17 @@ class _CFGBuilder:
         if kind == "return":
             node = self._new("return", stmt)
             self._connect(preds, node)
-            self._edges.append((node, self.exit))
+            self._edge(node, self.exit)
             return []
         if kind == "break":
             node = self._new("break", stmt)
             self._connect(preds, node)
-            self._edges.append((node, break_to if break_to is not None else self.exit))
+            self._edge(node, break_to if break_to is not None else self.exit)
             return []
         if kind == "continue":
             node = self._new("continue", stmt)
             self._connect(preds, node)
-            self._edges.append(
-                (node, continue_to if continue_to is not None else self.exit)
-            )
+            self._edge(node, continue_to if continue_to is not None else self.exit)
             return []
         if kind == "goto":
             node = self._new("goto", stmt)
@@ -699,9 +709,7 @@ def measure_codebase(codebase: Codebase, path_cap: int = 10**6) -> ControlFlowMe
             nodes += cfg.n_nodes
             edges += cfg.n_edges
             branches += cfg.n_branch_nodes
-            returns += sum(
-                1 for n, d in cfg.graph.nodes(data=True) if d["kind"] == "return"
-            )
+            returns += cfg.kinds.count("return")
             paths = cfg.path_count(cap=path_cap)
             total_paths = min(path_cap, total_paths + paths)
             max_paths = max(max_paths, paths)

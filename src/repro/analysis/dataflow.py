@@ -6,6 +6,7 @@ sources (function parameters, input routines) to dangerous sinks. The paper
 proposes data-flow counts — "numbers of expressions or functions
 influencing the execution of other parts of the code" (§4.1) — as model
 features; taint flow counts double as an attack-surface-adjacent signal.
+Both fixpoints run over Python-int bitsets on the CFG's node-id lists.
 """
 
 from __future__ import annotations
@@ -70,13 +71,8 @@ def _node_defs_uses(tokens: List[Token]) -> Tuple[Set[str], Set[str], Set[str]]:
     return defs, uses, calls
 
 
-def _stmt_tokens(cfg: CFG, node: int) -> List[Token]:
-    stmt = cfg.graph.nodes[node].get("stmt")
-    return stmt.tokens if stmt is not None else []
-
-
-#: Per-node (defs, uses, calls) for a whole CFG.
-NodeFlowInfo = Dict[int, Tuple[Set[str], Set[str], Set[str]]]
+#: Per-node (defs, uses, calls) for a whole CFG, indexed by node id.
+NodeFlowInfo = List[Tuple[Set[str], Set[str], Set[str]]]
 
 
 def node_flow_info(cfg: CFG) -> NodeFlowInfo:
@@ -87,16 +83,12 @@ def node_flow_info(cfg: CFG) -> NodeFlowInfo:
     pass it to each. Statement-less nodes (entry/exit/joins) all share
     one empty triple — every consumer treats the sets as read-only.
     """
-    node_attrs = cfg.graph._node
     empty: Tuple[Set[str], Set[str], Set[str]] = (set(), set(), set())
-    info: NodeFlowInfo = {}
-    for node, attrs in node_attrs.items():
-        stmt = attrs.get("stmt")
-        if stmt is not None and stmt.tokens:
-            info[node] = _node_defs_uses(stmt.tokens)
-        else:
-            info[node] = empty
-    return info
+    return [
+        _node_defs_uses(stmt.tokens)
+        if stmt is not None and stmt.tokens else empty
+        for stmt in cfg.stmts
+    ]
 
 
 @dataclass(frozen=True)
@@ -123,74 +115,76 @@ class ReachingDefinitions:
         return max((len(s) for s in self.in_sets.values()), default=0)
 
 
+def _worklist(cfg: CFG, transfer, seed: int = 0) -> List[int]:
+    """Forward may-analysis over bitsets; returns the IN bits per node.
+
+    ``transfer(node, in_bits)`` gives a node's OUT bits; the meet is
+    bitwise OR, and ``seed`` is OR-ed into the entry node's IN. The
+    result is the least fixpoint, which does not depend on visit order;
+    nodes are popped in id order first (roughly entry to exit), which
+    propagates facts forward in few sweeps.
+    """
+    preds = cfg.preds
+    succs = cfg.succs
+    entry = cfg.entry
+    n = len(succs)
+    in_bits = [0] * n
+    out_bits = [0] * n
+    worklist = list(range(n - 1, -1, -1))
+    pop = worklist.pop
+    extend = worklist.extend
+    while worklist:
+        node = pop()
+        new_in = seed if node == entry else 0
+        for pred in preds[node]:
+            new_in |= out_bits[pred]
+        new_out = transfer(node, new_in)
+        if new_in != in_bits[node] or new_out != out_bits[node]:
+            in_bits[node] = new_in
+            out_bits[node] = new_out
+            extend(succs[node])
+    return in_bits
+
+
 def _rd_fixpoint(
     cfg: CFG, node_info: NodeFlowInfo
-) -> Tuple[
-    Dict[int, Set[Tuple[int, str]]],
-    Dict[int, Set[Tuple[int, str]]],
-    Dict[int, Set[str]],
-]:
-    """The reaching-definitions worklist over raw (mutable) sets.
+) -> Tuple[List[int], List[Tuple[int, str]], Dict[str, int]]:
+    """The reaching-definitions fixpoint over one bit per definition.
 
-    Returns ``(in_sets, gen, uses)``; :func:`reaching_definitions`
-    freezes them for its public dataclass while :func:`rd_metrics`
-    reads them directly — the two therefore agree by construction.
-    Sets are only ever rebound, never mutated in place, so aliasing a
-    predecessor's OUT set as a single-pred node's IN set is safe.
+    Bit ``i`` stands for the definition ``sites[i]`` = (node, var);
+    ``var_mask[v]`` has the bits of every definition of ``v``. A node's
+    transfer is ``out = (in & ~kill) | gen`` with ``kill`` the masks of
+    the variables it defines. Returns ``(in_bits, sites, var_mask)``;
+    :func:`reaching_definitions` decodes it into frozensets and
+    :func:`rd_metrics` counts bits, so the two agree by construction.
     """
-    graph = cfg.graph
-    nodes = list(graph.nodes)
-    gen: Dict[int, Set[Tuple[int, str]]] = {}
-    kill_vars: Dict[int, Set[str]] = {}
-    uses: Dict[int, Set[str]] = {}
-    # Most CFG nodes define nothing; they can all share one (never
-    # mutated) empty gen set, and the kill set can alias the node's
-    # defs set directly — it is only read.
-    empty_gen: Set[Tuple[int, str]] = set()
-    for node in nodes:
-        defs, used, _calls = node_info[node]
-        gen[node] = {(node, v) for v in defs} if defs else empty_gen
-        kill_vars[node] = defs
-        uses[node] = used
+    sites: List[Tuple[int, str]] = []
+    var_mask: Dict[str, int] = {}
+    gen = [0] * len(node_info)
+    for node, (defs, _used, _calls) in enumerate(node_info):
+        if defs:
+            g = 0
+            for var in defs:
+                bit = 1 << len(sites)
+                sites.append((node, var))
+                g |= bit
+                var_mask[var] = var_mask.get(var, 0) | bit
+            gen[node] = g
+    # ``in & keep | gen``: keep is ~kill, where kill covers every
+    # definition of the variables the node defines (its own included).
+    keep = [0] * len(node_info)
+    for node, g in enumerate(gen):
+        if g:
+            kill = 0
+            for var in node_info[node][0]:
+                kill |= var_mask[var]
+            keep[node] = ~kill
 
-    # Adjacency resolved once: the worklist revisits nodes many times,
-    # and networkx predecessor/successor views are dict lookups per call.
-    # One edge sweep builds both directions (set-valued fixpoints make
-    # neighbour order irrelevant).
-    preds: Dict[int, List[int]] = {n: [] for n in nodes}
-    succs: Dict[int, List[int]] = {n: [] for n in nodes}
-    for u, v in graph.edges():
-        succs[u].append(v)
-        preds[v].append(u)
-    in_sets: Dict[int, Set[Tuple[int, str]]] = {n: set() for n in nodes}
-    out_sets: Dict[int, Set[Tuple[int, str]]] = {n: set() for n in nodes}
-    # Reversed so pop() (LIFO) visits nodes in insertion order — roughly
-    # entry-to-exit for CFG builders — which propagates facts forward and
-    # converges in fewer sweeps. The fixpoint itself is order-independent.
-    worklist = list(reversed(nodes))
-    while worklist:
-        node = worklist.pop()
-        ps = preds[node]
-        if len(ps) == 1:
-            # Single predecessor: its OUT set IS the meet. Aliasing is
-            # safe because no set is ever mutated after being stored.
-            new_in = out_sets[ps[0]]
-        else:
-            new_in = set()
-            for pred in ps:
-                new_in |= out_sets[pred]
-        killed = kill_vars[node]
-        if killed:
-            new_out = {d for d in new_in if d[1] not in killed} | gen[node]
-        else:
-            # Nothing killed and (by construction) nothing generated:
-            # the transfer function is the identity.
-            new_out = new_in
-        if new_in != in_sets[node] or new_out != out_sets[node]:
-            in_sets[node] = new_in
-            out_sets[node] = new_out
-            worklist.extend(succs[node])
-    return in_sets, gen, uses
+    def transfer(node: int, bits: int) -> int:
+        g = gen[node]
+        return (bits & keep[node]) | g if g else bits
+
+    return _worklist(cfg, transfer), sites, var_mask
 
 
 def reaching_definitions(
@@ -199,11 +193,26 @@ def reaching_definitions(
     """Run the standard worklist reaching-definitions analysis on ``cfg``."""
     if node_info is None:
         node_info = node_flow_info(cfg)
-    in_sets, gen, uses = _rd_fixpoint(cfg, node_info)
+    in_bits, sites, _var_mask = _rd_fixpoint(cfg, node_info)
+
+    def decode(bits: int) -> FrozenSet[Tuple[int, str]]:
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(sites[low.bit_length() - 1])
+            bits ^= low
+        return frozenset(out)
+
     return ReachingDefinitions(
-        in_sets={n: frozenset(s) for n, s in in_sets.items()},
-        gen={n: frozenset(s) for n, s in gen.items()},
-        uses={n: frozenset(s) for n, s in uses.items()},
+        in_sets={n: decode(bits) for n, bits in enumerate(in_bits)},
+        gen={
+            n: frozenset((n, var) for var in defs)
+            for n, (defs, _used, _calls) in enumerate(node_info)
+        },
+        uses={
+            n: frozenset(used)
+            for n, (_defs, used, _calls) in enumerate(node_info)
+        },
     )
 
 
@@ -214,26 +223,30 @@ def rd_metrics(
 
     The numbers :class:`ReachingDefinitions` would yield via
     ``def_use_pairs``/``max_reaching`` and the gen/uses set sizes,
-    computed from the raw fixpoint sets without freezing ~every node's
-    sets into throwaway frozensets — the extraction hot path calls this
-    per function, so the materialisation cost is real.
+    counted straight off the fixpoint's bitsets: a def-use pair is a
+    set bit of ``in & var_mask[v]`` for a variable ``v`` the node uses.
     """
     if node_info is None:
         node_info = node_flow_info(cfg)
-    in_sets, gen, uses = _rd_fixpoint(cfg, node_info)
-    n_defs = sum(len(g) for g in gen.values())
-    n_uses = sum(len(u) for u in uses.values())
+    in_bits, sites, var_mask = _rd_fixpoint(cfg, node_info)
+    n_uses = 0
     pairs = 0
     max_reach = 0
-    for node, reaching in in_sets.items():
-        size = len(reaching)
+    for node, (_defs, used, _calls) in enumerate(node_info):
+        if not used:
+            continue
+        n_uses += len(used)
+        reaching = in_bits[node]
+        if reaching:
+            mask = 0
+            for var in used:
+                mask |= var_mask.get(var, 0)
+            pairs += (reaching & mask).bit_count()
+    for reaching in in_bits:
+        size = reaching.bit_count()
         if size > max_reach:
             max_reach = size
-        if size:
-            used = uses[node]
-            if used:
-                pairs += sum(1 for (_, var) in reaching if var in used)
-    return n_defs, n_uses, pairs, max_reach
+    return len(sites), n_uses, pairs, max_reach
 
 
 @dataclass(frozen=True)
@@ -254,77 +267,64 @@ def taint_analysis(
     A statement taints the variables it defines when its right-hand side
     mentions a tainted variable or calls a known source. A sink call whose
     statement mentions any tainted variable counts as a tainted flow.
+    The fixpoint runs over one bit per variable.
     """
     if node_info is None:
         node_info = node_flow_info(cfg)
-    # ``isdisjoint`` tests overlap without building the intersection
-    # sets ``&`` would allocate per node.
-    source_sites = sum(
-        1 for _, (_, _, calls) in node_info.items()
-        if not calls.isdisjoint(TAINT_SOURCES)
-    )
-    sink_sites = sum(
-        1 for _, (_, _, calls) in node_info.items()
-        if not calls.isdisjoint(TAINT_SINKS)
-    )
+    bit_of: Dict[str, int] = {}
 
-    graph = cfg.graph
-    nodes = list(graph.nodes)
-    preds: Dict[int, List[int]] = {n: [] for n in nodes}
-    succs: Dict[int, List[int]] = {n: [] for n in nodes}
-    for u, v in graph.edges():
-        succs[u].append(v)
-        preds[v].append(u)
-    in_taint: Dict[int, Set[str]] = {n: set() for n in nodes}
-    out_taint: Dict[int, Set[str]] = {n: set() for n in nodes}
-    seed = set(params)
-    out_taint[cfg.entry] = set(seed)
+    def mask(names) -> int:
+        bits = 0
+        for name in names:
+            bit = bit_of.get(name)
+            if bit is None:
+                bit = bit_of[name] = 1 << len(bit_of)
+            bits |= bit
+        return bits
 
-    worklist = list(reversed(nodes))
-    entry = cfg.entry
-    while worklist:
-        node = worklist.pop()
-        ps = preds[node]
-        if node != entry and len(ps) == 1:
-            # Single predecessor, no seed to fold in: the meet is the
-            # predecessor's OUT set. Aliasing is safe — sets are only
-            # rebound below, never mutated in place.
-            new_in = out_taint[ps[0]]
-        else:
-            new_in = set(seed) if node == entry else set()
-            for pred in ps:
-                new_in |= out_taint[pred]
-        defs, used, calls = node_info[node]
-        if not defs:
-            # Defines nothing: both branches reduce to the identity.
-            new_out = new_in
-        elif ((not used.isdisjoint(new_in) and (used - defs) & new_in)
-                or not calls.isdisjoint(TAINT_SOURCES)):
-            new_out = new_in | defs
-        else:
-            # A plain reassignment from untainted data clears the variable.
-            new_out = new_in - defs
-        if new_in != in_taint[node] or new_out != out_taint[node]:
-            in_taint[node] = new_in
-            out_taint[node] = new_out
-            worklist.extend(succs[node])
+    n = len(node_info)
+    def_bits = [0] * n
+    use_bits = [0] * n
+    rhs_bits = [0] * n  # uses that the node does not also define
+    is_source = [False] * n
+    is_sink = [False] * n
+    for node, (defs, used, calls) in enumerate(node_info):
+        if defs:
+            def_bits[node] = mask(defs)
+        if used:
+            use_bits[node] = mask(used)
+            rhs_bits[node] = use_bits[node] & ~def_bits[node]
+        if calls:
+            # ``isdisjoint`` tests overlap without building the
+            # intersection sets ``&`` would allocate per node.
+            is_source[node] = not calls.isdisjoint(TAINT_SOURCES)
+            is_sink[node] = not calls.isdisjoint(TAINT_SINKS)
+    seed = mask(params)
 
-    tainted: Set[str] = set(seed)
+    def transfer(node: int, bits: int) -> int:
+        defined = def_bits[node]
+        if not defined:
+            return bits
+        if bits & rhs_bits[node] or is_source[node]:
+            return bits | defined
+        # A plain reassignment from untainted data clears the variable.
+        return bits & ~defined
+
+    in_bits = _worklist(cfg, transfer, seed)
+
+    tainted: Set[str] = set(params)
     tainted_sinks = 0
-    for node, (defs, used, calls) in node_info.items():
-        reach = in_taint[node]
-        if node == entry and seed:
-            reach = reach | seed
-        used_reach = not used.isdisjoint(reach)
-        if used_reach or not calls.isdisjoint(TAINT_SOURCES):
+    for node, (defs, _used, _calls) in enumerate(node_info):
+        used_reach = use_bits[node] & in_bits[node]
+        if used_reach or is_source[node]:
             tainted |= defs
-        if used_reach and not calls.isdisjoint(TAINT_SINKS):
+        if used_reach and is_sink[node]:
             tainted_sinks += 1
     return TaintResult(
         tainted_vars=frozenset(tainted),
         tainted_sink_calls=tainted_sinks,
-        source_sites=source_sites,
-        sink_sites=sink_sites,
+        source_sites=sum(is_source),
+        sink_sites=sum(is_sink),
     )
 
 

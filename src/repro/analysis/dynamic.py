@@ -42,7 +42,7 @@ class TraceResult:
 
 
 def _node_is_dangerous(cfg: CFG, node: int) -> bool:
-    stmt = cfg.graph.nodes[node].get("stmt")
+    stmt = cfg.stmts[node]
     if stmt is None:
         return False
     tokens = stmt.tokens
@@ -70,7 +70,7 @@ def simulate_cfg(
     dangerous = 0
     truncated = 0
     dangerous_nodes = {
-        node for node in cfg.graph.nodes if _node_is_dangerous(cfg, node)
+        node for node in range(cfg.n_nodes) if _node_is_dangerous(cfg, node)
     }
 
     for _ in range(n_walks):
@@ -81,7 +81,7 @@ def simulate_cfg(
             visit_counts[node] = visit_counts.get(node, 0) + 1
             if node in dangerous_nodes:
                 dangerous += 1
-            successors = list(cfg.graph.successors(node))
+            successors = cfg.succs[node]
             if not successors:
                 break
             nxt = rng.choice(successors)

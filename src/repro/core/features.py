@@ -188,10 +188,7 @@ def _cfg_record(cfgs) -> FileRecord:
         nodes += graph.n_nodes
         edges += graph.n_edges
         branches += graph.n_branch_nodes
-        returns += sum(
-            1 for _, d in graph.graph.nodes(data=True)
-            if d["kind"] == "return"
-        )
+        returns += graph.kinds.count("return")
         paths.append(graph.path_count(cap=_PATH_CAP))
         cyclomatics.append(graph.cyclomatic)
     return {"nodes": nodes, "edges": edges, "branches": branches,

@@ -1,6 +1,5 @@
 """Statement tree and CFG tests."""
 
-import networkx as nx
 import pytest
 
 from repro.analysis.cfg import CFG, build_cfg, measure_codebase, parse_statements
@@ -13,6 +12,33 @@ def cfg_for(text, path="t.c", name=None):
     fns = extract_functions(src)
     fn = fns[0] if name is None else next(f for f in fns if f.name == name)
     return build_cfg(fn, src), fn, src
+
+
+def nodes_of_kind(cfg, kind):
+    return [n for n, k in enumerate(cfg.kinds) if k == kind]
+
+
+def is_acyclic(cfg):
+    """Three-colour DFS over ``succs`` from every node."""
+    state = [0] * cfg.n_nodes  # 0 new, 1 on the DFS path, 2 done
+    for root in range(cfg.n_nodes):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(cfg.succs[root]))]
+        while stack:
+            node, it = stack[-1]
+            for succ in it:
+                if state[succ] == 1:
+                    return False
+                if state[succ] == 0:
+                    state[succ] = 1
+                    stack.append((succ, iter(cfg.succs[succ])))
+                    break
+            else:
+                state[node] = 2
+                stack.pop()
+    return True
 
 
 class TestStatementTree:
@@ -93,40 +119,40 @@ class TestCFGShape:
     def test_loop_adds_cycle(self):
         cfg, _, _ = cfg_for("int f(int n) {\n  while (n) { n--; }\n  return n;\n}")
         assert cfg.cyclomatic == 2
-        assert not nx.is_directed_acyclic_graph(cfg.graph)
+        assert not is_acyclic(cfg)
 
     def test_early_return_reaches_exit(self):
         cfg, _, _ = cfg_for(
             "int f(int a) {\n  if (a) { return 1; }\n  return 0;\n}"
         )
-        returns = [n for n, d in cfg.graph.nodes(data=True) if d["kind"] == "return"]
+        returns = nodes_of_kind(cfg, "return")
         assert len(returns) == 2
         for node in returns:
-            assert cfg.graph.has_edge(node, cfg.exit)
+            assert cfg.exit in cfg.succs[node]
 
     def test_break_targets_loop_exit(self):
         cfg, _, _ = cfg_for(
             "int f(int n) {\n  while (n) {\n    if (n == 3) { break; }\n"
             "    n--;\n  }\n  return n;\n}"
         )
-        breaks = [n for n, d in cfg.graph.nodes(data=True) if d["kind"] == "break"]
+        breaks = nodes_of_kind(cfg, "break")
         assert len(breaks) == 1
         # The break node must NOT jump to function exit directly.
-        assert not cfg.graph.has_edge(breaks[0], cfg.exit)
+        assert cfg.exit not in cfg.succs[breaks[0]]
 
     def test_goto_resolves_to_label(self):
         cfg, _, _ = cfg_for(
             "int f(int a) {\n  if (a) { goto out; }\n  a = 2;\n"
             "out:\n  return a;\n}"
         )
-        gotos = [n for n, d in cfg.graph.nodes(data=True) if d["kind"] == "goto"]
-        labels = [n for n, d in cfg.graph.nodes(data=True) if d["kind"] == "label"]
+        gotos = nodes_of_kind(cfg, "goto")
+        labels = nodes_of_kind(cfg, "label")
         assert len(gotos) == 1 and len(labels) == 1
-        assert cfg.graph.has_edge(gotos[0], labels[0])
+        assert labels[0] in cfg.succs[gotos[0]]
 
     def test_empty_function(self):
         cfg, _, _ = cfg_for("int f(void) {\n}\n")
-        assert cfg.graph.has_edge(cfg.entry, cfg.exit)
+        assert cfg.exit in cfg.succs[cfg.entry]
         assert cfg.path_count() == 1
 
     def test_cfg_cyclomatic_close_to_token_mccabe(self, c_source):

@@ -31,9 +31,7 @@ class TestReachingDefinitions:
         )
         rd = reaching_definitions(cfg)
         # At the return node only the second definition of `a` reaches.
-        return_nodes = [
-            n for n, d in cfg.graph.nodes(data=True) if d["kind"] == "return"
-        ]
+        return_nodes = [n for n, k in enumerate(cfg.kinds) if k == "return"]
         reaching_a = [
             d for d in rd.in_sets[return_nodes[0]] if d[1] == "a"
         ]
@@ -45,9 +43,7 @@ class TestReachingDefinitions:
             "  return a;\n}"
         )
         rd = reaching_definitions(cfg)
-        return_nodes = [
-            n for n, d in cfg.graph.nodes(data=True) if d["kind"] == "return"
-        ]
+        return_nodes = [n for n, k in enumerate(cfg.kinds) if k == "return"]
         reaching_a = {d for d in rd.in_sets[return_nodes[0]] if d[1] == "a"}
         assert len(reaching_a) == 2  # both arms reach the merge
 

@@ -13,7 +13,7 @@ def snapshot(counters=None, histograms=None):
 
 SERVING = snapshot(
     counters={"serve.requests": 100.0, "serve.errors": 5.0,
-              "serve.shed": 2.0, "engine.extracted": 40.0,
+              "serve.aio.shed": 2.0, "engine.extracted": 40.0,
               "engine.cache.hits": 30.0, "engine.cache.misses": 10.0},
     histograms={
         "serve.predict.seconds": {

@@ -22,7 +22,7 @@ LATENCY = {"name": "predict-p99", "kind": "latency",
            "histogram": "serve.predict.seconds", "stat": "p99",
            "max_seconds": 0.5}
 SHED = {"name": "shed-rate", "kind": "ratio_max",
-        "numerator": "serve.shed", "denominator": "serve.requests",
+        "numerator": "serve.aio.shed", "denominator": "serve.requests",
         "max_ratio": 0.01}
 CACHE = {"name": "cache-hit", "kind": "ratio_min",
          "numerator": "engine.cache.hits",
@@ -135,13 +135,13 @@ class TestEvaluation:
 
     def test_ratio_max_ok_and_breach(self):
         rule = SloRule(name="shed", kind="ratio_max",
-                       numerator="serve.shed",
+                       numerator="serve.aio.shed",
                        denominator=("serve.requests",), max_ratio=0.1)
         ok = evaluate_slos([rule], snapshot(counters={
-            "serve.shed": 1.0, "serve.requests": 100.0}))
+            "serve.aio.shed": 1.0, "serve.requests": 100.0}))
         assert ok.ok
         breach = evaluate_slos([rule], snapshot(counters={
-            "serve.shed": 50.0, "serve.requests": 100.0}))
+            "serve.aio.shed": 50.0, "serve.requests": 100.0}))
         assert breach.breached == ["shed"]
 
     def test_ratio_min_sums_denominators(self):
