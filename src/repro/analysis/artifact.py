@@ -31,10 +31,20 @@ Sharing notes (why reuse cannot change results):
 - ``extract_classes`` fills in ``FunctionInfo.owner`` on the shared
   function list; no analyzer reads ``owner`` from a fresh extraction, so
   the mutation is unobservable.
+- The SourceFile owns its artifact (``source._artifact``) and the
+  artifact refers back to it only through a weak reference, so no
+  per-file object is part of a reference cycle: dropping the
+  SourceFile frees the artifact and every token, statement, CFG and
+  flow-info set it cached by refcount alone, without the cyclic
+  collector. Extraction relies on that to run with the collector paused
+  (``repro.core.features``). An artifact kept past its SourceFile
+  cannot recompute anything; :attr:`FileArtifact.source` raises
+  ``ReferenceError`` naming the file.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.cfg import CFG, build_cfg, code_tokens_by_line
@@ -53,7 +63,8 @@ class FileArtifact:
     """Memoized per-file analysis views, each computed at most once."""
 
     __slots__ = (
-        "source",
+        "path",
+        "_source_ref",
         "_code_tokens",
         "_functions",
         "_classes",
@@ -64,7 +75,8 @@ class FileArtifact:
     )
 
     def __init__(self, source: SourceFile):
-        self.source = source
+        self.path = source.path
+        self._source_ref = weakref.ref(source)
         self._code_tokens: Optional[List[Token]] = None
         self._functions: Optional[List[FunctionInfo]] = None
         self._classes: Optional[List[ClassInfo]] = None
@@ -72,6 +84,16 @@ class FileArtifact:
         self._tokens_by_line: Optional[dict] = None
         self._node_infos: Optional[List[Optional[NodeFlowInfo]]] = None
         self._call_sites: Optional[List[int]] = None
+
+    @property
+    def source(self) -> SourceFile:
+        """The file these views describe (held weakly, see module notes)."""
+        source = self._source_ref()
+        if source is None:
+            raise ReferenceError(
+                f"analysis artifact for {self.path!r} outlived its "
+                "SourceFile; get a fresh one with artifact_for()")
+        return source
 
     # -- raw views --------------------------------------------------------
 
@@ -165,7 +187,7 @@ class FileArtifact:
         return list(zip(self.functions, self.cfgs))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FileArtifact({self.source.path!r})"
+        return f"FileArtifact({self.path!r})"
 
 
 def artifact_for(source: SourceFile) -> FileArtifact:
@@ -173,9 +195,11 @@ def artifact_for(source: SourceFile) -> FileArtifact:
 
     The artifact rides on the SourceFile (``source._artifact``), so
     per-file and tree-level analyzers running in the same process share
-    one parse no matter which asks first. It is deliberately excluded
-    from pickling (``SourceFile.__getstate__``): worker processes rebuild
-    it lazily from the shipped text.
+    one parse no matter which asks first. It holds the SourceFile only
+    weakly, so it lives exactly as long as the file does; keep the
+    SourceFile, not the artifact, when a view is needed later. It is
+    deliberately excluded from pickling (``SourceFile.__getstate__``):
+    worker processes rebuild it lazily from the shipped text.
     """
     artifact = source._artifact
     if artifact is None:

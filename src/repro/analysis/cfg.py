@@ -293,90 +293,100 @@ def _py_parse_lines(
     caller analyses every function in a file (the analysis artifact) it is
     computed once per file instead of once per function.
     """
-    lines = source.lines
     if tokens_by_line is None:
         tokens_by_line = code_tokens_by_line(source.tokens)
+    return _py_parse_range(source.lines, tokens_by_line, end, start, end)
 
-    def indent_of(ln: int) -> int:
-        line = lines[ln - 1]
-        width = 0
-        for ch in line:
-            if ch == " ":
-                width += 1
-            elif ch == "\t":
-                width += 8 - width % 8
-            else:
+
+# The helpers below are module-level functions, not closures: a recursive
+# nested function refers to itself through a cell, a reference cycle that
+# only the cyclic collector could free, once per parsed function.
+
+
+def _py_indent_of(lines: List[str], ln: int) -> int:
+    """Indent width of line ``ln`` (tabs to the next multiple of 8)."""
+    width = 0
+    for ch in lines[ln - 1]:
+        if ch == " ":
+            width += 1
+        elif ch == "\t":
+            width += 8 - width % 8
+        else:
+            break
+    return width
+
+
+def _py_block_end(
+    lines: List[str], by_line: dict, end: int, header: int, base_indent: int
+) -> int:
+    """Last code line (at most ``end``) of the block opened at ``header``."""
+    last = header
+    ln = header + 1
+    while ln <= end:
+        if ln in by_line:
+            if _py_indent_of(lines, ln) <= base_indent:
                 break
-        return width
+            last = ln
+        ln += 1
+    return last
 
-    def is_code_line(ln: int) -> bool:
-        return ln in tokens_by_line
 
-    def block_end(header: int, base_indent: int) -> int:
-        last = header
-        ln = header + 1
-        while ln <= end:
-            if is_code_line(ln):
-                if indent_of(ln) <= base_indent:
+def _py_parse_range(
+    lines: List[str], by_line: dict, end: int, lo: int, hi: int
+) -> List[Stmt]:
+    """Statements of lines [lo, hi]; nested blocks stop at line ``end``."""
+    stmts: List[Stmt] = []
+    ln = lo
+    while ln <= hi:
+        if ln not in by_line:
+            ln += 1
+            continue
+        toks = by_line[ln]
+        head = toks[0]
+        word = head.text if head.kind == TokenKind.KEYWORD else None
+        indent = _py_indent_of(lines, ln)
+        if word in ("if", "while", "for", "with", "try", "match"):
+            body_end = _py_block_end(lines, by_line, end, ln, indent)
+            body = _py_parse_range(lines, by_line, end, ln + 1, body_end)
+            kind = {"if": "if", "while": "loop", "for": "loop",
+                    "with": "simple", "try": "try", "match": "switch"}[word]
+            root = Stmt(kind, tokens=toks, body=body)
+            tail = root
+            ln = body_end + 1
+            while (ln <= hi and ln in by_line
+                   and _py_indent_of(lines, ln) == indent):
+                nxt = by_line[ln][0]
+                nword = nxt.text if nxt.kind == TokenKind.KEYWORD else None
+                if nword not in ("elif", "else", "except", "finally", "case"):
                     break
-                last = ln
-            ln += 1
-        return last
-
-    def parse_range(lo: int, hi: int) -> List[Stmt]:
-        stmts: List[Stmt] = []
-        ln = lo
-        while ln <= hi:
-            if not is_code_line(ln):
-                ln += 1
-                continue
-            toks = tokens_by_line[ln]
-            head = toks[0]
-            word = head.text if head.kind == TokenKind.KEYWORD else None
-            indent = indent_of(ln)
-            if word in ("if", "while", "for", "with", "try", "match"):
-                body_end = block_end(ln, indent)
-                body = parse_range(ln + 1, body_end)
-                kind = {"if": "if", "while": "loop", "for": "loop",
-                        "with": "simple", "try": "try", "match": "switch"}[word]
-                root = Stmt(kind, tokens=toks, body=body)
-                tail = root
-                ln = body_end + 1
-                while ln <= hi and is_code_line(ln) and indent_of(ln) == indent:
-                    nxt = tokens_by_line[ln][0]
-                    nword = nxt.text if nxt.kind == TokenKind.KEYWORD else None
-                    if nword not in ("elif", "else", "except", "finally", "case"):
-                        break
-                    arm_end = block_end(ln, indent)
-                    arm = parse_range(ln + 1, arm_end)
-                    if nword == "elif":
-                        nested = Stmt("if", tokens=tokens_by_line[ln], body=arm)
-                        tail.orelse = [nested]
-                        tail = nested
-                    elif nword == "else":
-                        tail.orelse = arm
-                    else:
-                        tail.cases.append(arm)
-                    ln = arm_end + 1
-                stmts.append(root)
-                continue
-            if word in ("return", "raise"):
-                stmts.append(Stmt("return", tokens=toks))
-            elif word == "break":
-                stmts.append(Stmt("break"))
-            elif word == "continue":
-                stmts.append(Stmt("continue"))
-            elif word in ("def", "class"):
-                body_end = block_end(ln, indent)
-                stmts.append(Stmt("simple", tokens=toks))
-                ln = body_end + 1
-                continue
-            else:
-                stmts.append(Stmt("simple", tokens=toks))
-            ln += 1
-        return stmts
-
-    return parse_range(start, end)
+                arm_end = _py_block_end(lines, by_line, end, ln, indent)
+                arm = _py_parse_range(lines, by_line, end, ln + 1, arm_end)
+                if nword == "elif":
+                    nested = Stmt("if", tokens=by_line[ln], body=arm)
+                    tail.orelse = [nested]
+                    tail = nested
+                elif nword == "else":
+                    tail.orelse = arm
+                else:
+                    tail.cases.append(arm)
+                ln = arm_end + 1
+            stmts.append(root)
+            continue
+        if word in ("return", "raise"):
+            stmts.append(Stmt("return", tokens=toks))
+        elif word == "break":
+            stmts.append(Stmt("break"))
+        elif word == "continue":
+            stmts.append(Stmt("continue"))
+        elif word in ("def", "class"):
+            body_end = _py_block_end(lines, by_line, end, ln, indent)
+            stmts.append(Stmt("simple", tokens=toks))
+            ln = body_end + 1
+            continue
+        else:
+            stmts.append(Stmt("simple", tokens=toks))
+        ln += 1
+    return stmts
 
 
 def code_tokens_by_line(tokens: Sequence[Token]) -> dict:

@@ -43,13 +43,26 @@ Cold extraction *is* collect + merge over every file, so a warm run that
 merges cached records with freshly computed ones lands on the same code
 path and therefore byte-identical rows — the incremental cache needs no
 separate equivalence argument.
+
+Memory: extraction builds no reference cycles (the analysis artifact
+holds its SourceFile weakly), so per-file state is freed by refcount as
+soon as the caller drops the codebase. The three entry points every
+engine path runs — :func:`file_record`, :func:`merge_records` and
+:func:`extract_features_with_records` — therefore pause Python's cyclic
+collector for their duration (``_collector_paused``). Its passes would
+find nothing to free but still walk every live object, and each app's
+surviving allocations would push it into another full collection.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import threading
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.analysis import (
@@ -89,6 +102,62 @@ _PATH_CAP = 10 ** 6
 #: integer aggregates, or the facts a tree-level analyzer folds. Bump
 #: ``ANALYZER_SET_VERSION`` when this changes.
 FileRecord = Dict[str, object]
+
+
+# -- collector pause ------------------------------------------------------------
+#
+# Process-wide state because the collector switch is process-wide.
+# ``tests/core/test_gc_pause.py`` pins what makes the pause safe (no
+# cyclic garbage from extraction) and its semantics.
+
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_pause_reenable = False
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Disable the cyclic collector for one extraction unit.
+
+    Used as a decorator on the three extraction entry points
+    (:func:`file_record`, :func:`merge_records`,
+    :func:`extract_features_with_records`) that every engine path runs.
+
+    Reentrant and thread-safe: a depth counter shared by all threads
+    disables the collector on the outermost entry and re-enables it when
+    the last region exits, and only if it was enabled when the first one
+    entered. Never create a process or an executor inside a region: a
+    child forked while paused would start with the collector off
+    (``_reset_pause_after_fork`` covers a fork from another thread that
+    overlaps a region).
+    """
+    global _pause_depth, _pause_reenable
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_reenable = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _pause_reenable:
+                gc.enable()
+
+
+def _reset_pause_after_fork() -> None:
+    """A forked child runs none of its parent's paused regions."""
+    global _pause_lock, _pause_depth
+    _pause_lock = threading.Lock()
+    if _pause_depth:
+        _pause_depth = 0
+        if _pause_reenable:
+            gc.enable()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; no fork, no inheritance
+    os.register_at_fork(after_in_child=_reset_pause_after_fork)
 
 
 # -- per-file collectors ------------------------------------------------------
@@ -341,6 +410,7 @@ LEGACY_PER_FILE_COLLECTORS = (
 )
 
 
+@_collector_paused()
 def file_record(source: SourceFile) -> FileRecord:
     """Run every per-file analyzer over one file (the delta hot path).
 
@@ -409,6 +479,7 @@ def _merged_surface(records: List[FileRecord]) -> rasq.AttackSurface:
     )
 
 
+@_collector_paused()
 def merge_records(
     codebase: Codebase,
     records: List[FileRecord],
@@ -682,6 +753,7 @@ def merge_records(
     return row
 
 
+@_collector_paused()
 def extract_features_with_records(
     codebase: Codebase,
     nominal_kloc: Optional[float] = None,

@@ -48,10 +48,12 @@ _PUNCT = set("()[]{},;:")
 # ``\w`` is documented to match precisely ``str.isalnum()`` plus ``_``,
 # i.e. the identifier-continuation predicate.
 _WORD_RUN = re.compile(r"\w*")
-_TO_EOL = re.compile(r"[^\n]*")
+# A lone \r ends a line like \n does; the \r of a \r\n pair stays
+# inside the run so the \n branch counts the pair once.
+_TO_EOL = re.compile(r"(?:[^\n\r]|\r(?=\n))*")
 # Preprocessor lines: a newline continues the directive only when the
 # preceding character is a backslash.
-_PREPROC_RUN = re.compile(r"(?:[^\n]|(?<=\\)\n)*")
+_PREPROC_RUN = re.compile(r"(?:[^\n\r]|\r(?=\n)|(?<=\\)\n)*")
 _WS_RUN = re.compile(r"[ \t\f\v]*")
 
 # Numeric literals, mirroring ``_scan_number``: underscores anywhere in a
@@ -76,7 +78,8 @@ _BIN_NUM = re.compile(r"0[bB][01_]*(?:(?<=[01])'[01][01_]*)*[uUlLfF]*")
 # token without being consumed, a dangling backslash is kept, and the
 # closing delimiter is consumed when present.
 _STRING_PATS = {
-    d: re.compile(d + r"(?:\\[^\n]|[^" + d + r"\n\\])*\\?" + d + "?")
+    d: re.compile(d + r"(?:[^" + d + r"\n\r\\]|\\(?:[^\n\r]|\r(?=\n))"
+                  r"|\r(?=\n))*\\?" + d + "?")
     for d in ('"', "'")
 }
 
@@ -91,7 +94,8 @@ _TRIPLE_PATS = {
 # Sequential escape-pair/newline walk, for counting the unescaped
 # newlines of a triple-quoted string body exactly like the old
 # character loop did (an escaped newline does not advance the line).
-_ESC_OR_NL = re.compile(r"\\.|\n", re.S)
+# ``\r\n`` is one terminator, a lone ``\r`` another.
+_ESC_OR_NL = re.compile(r"\\.|\r\n?|\n", re.S)
 
 #: Kinds whose texts are interned: short, heavily repeated lexemes.
 _INTERN_KINDS = frozenset({
@@ -317,7 +321,7 @@ class Lexer:
                     i = m.end() if m is not None else n
                     body_end = i - 3 if m is not None else n
                     for esc in _ESC_OR_NL.finditer(text, start + 3, body_end):
-                        if esc.group() == "\n":
+                        if esc.group()[0] != "\\":
                             line += 1
                     emit(TokenKind.STRING, start, i, tline, tcol)
                     col = col_after(start, i, tcol)
@@ -373,11 +377,10 @@ class Lexer:
                     start, tline, tcol = i, line, col
                     found = text.find(close_m, i + len(open_m))
                     if found < 0:
-                        line += text.count("\n", start + len(open_m))
-                        i = n
+                        found = i = n
                     else:
-                        line += text.count("\n", start + len(open_m), found)
                         i = found + len(close_m)
+                    line += _line_breaks(text, start + len(open_m), found)
                     emit(TokenKind.COMMENT, start, i, tline, tcol)
                     col = col_after(start, i, tcol)
                     continue
@@ -445,6 +448,12 @@ class Lexer:
 def _at_line_start(tokens: List[Token]) -> bool:
     """True if the next token would be the first non-whitespace on its line."""
     return not tokens or tokens[-1].kind == TokenKind.NEWLINE
+
+
+def _line_breaks(text: str, start: int, end: int) -> int:
+    """Line terminators in ``text[start:end]``; ``\\r\\n`` counts once."""
+    return (text.count("\n", start, end) + text.count("\r", start, end)
+            - text.count("\r\n", start, end))
 
 
 def _scan_number(text: str, i: int) -> int:

@@ -28,6 +28,14 @@ stream that records finished spans, counter deltas, gauge writes,
 histogram observations, and structured events as they happen, for
 ``repro monitor`` / ``repro slo-check`` and post-mortems.
 
+While a session is active, a ``gc.callbacks`` hook counts the cyclic
+collector's work: ``runtime.gc.collections.gen<N>`` per generation and
+``runtime.gc.pause_ms``, the summed pause in milliseconds (the mean
+pause is their ratio). They are counters, so they reach
+``/metricz``, the ``--profile`` report and worker grafts like any other;
+the hook queues them lock-free (:meth:`MetricsRegistry.defer_incr`), so
+they appear at the next snapshot and are not written to the stream.
+
 Trace identity: spans carry the trace ID bound to the current thread
 (:func:`repro.obs.context.trace_scope` — what the daemon binds per
 request) or the session tracer's default (what the CLI mints per
@@ -37,6 +45,8 @@ that need to propagate the ID across process or host boundaries.
 
 from __future__ import annotations
 
+import gc
+from time import perf_counter
 from typing import Any, Optional
 
 from repro.obs import context
@@ -135,6 +145,25 @@ class ObsSession:
 
 _session: Optional[ObsSession] = None
 
+#: perf_counter() at the start of the collection in progress. Collections
+#: never overlap, so one slot serves every thread.
+_gc_started = 0.0
+
+
+def _on_gc(phase: str, info: dict) -> None:
+    """``gc.callbacks`` hook: collections per generation and pause time."""
+    global _gc_started
+    if phase == "start":
+        _gc_started = perf_counter()
+        return
+    session = _session
+    if session is not None:
+        registry = session.metrics
+        registry.defer_incr(
+            f"runtime.gc.collections.gen{info['generation']}", 1.0)
+        registry.defer_incr(
+            "runtime.gc.pause_ms", (perf_counter() - _gc_started) * 1e3)
+
 
 def configure(profile: bool = False,
               trace_path: Optional[str] = None,
@@ -158,6 +187,8 @@ def configure(profile: bool = False,
         _session.close()
     _session = ObsSession(profile=profile, trace_path=trace_path,
                           stream=stream, trace_id=trace_id)
+    if _on_gc not in gc.callbacks:
+        gc.callbacks.append(_on_gc)
     return _session
 
 
@@ -165,6 +196,8 @@ def disable() -> Optional[ObsSession]:
     """Disable observability; returns the session that was active."""
     global _session
     session, _session = _session, None
+    if _on_gc in gc.callbacks:
+        gc.callbacks.remove(_on_gc)
     if session is not None:
         session.close()
     return session

@@ -12,12 +12,19 @@ threads, so `Counter.inc`, `Gauge.set`, and `Histogram.observe` each
 take a per-instrument lock (and the registry locks instrument
 creation). The single-threaded pipeline pays one uncontended lock
 acquire per record, which is noise next to the measured work.
+
+A recorder that may run *inside* one of those critical sections — the
+garbage collector's callbacks fire on whichever allocation starts a
+collection, the registry's own included — must not take a lock, so it
+queues its increments with :meth:`MetricsRegistry.defer_incr`; they are
+applied when the registry is next read.
 """
 
 from __future__ import annotations
 
 import re
 import threading
+from collections import deque
 from typing import Dict, List, Sequence
 
 
@@ -140,6 +147,7 @@ class MetricsRegistry:
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self._lock = threading.Lock()
+        self._deferred: deque = deque()
 
     def counter(self, name: str) -> Counter:
         inst = self.counters.get(name)
@@ -162,8 +170,27 @@ class MetricsRegistry:
                 inst = self.histograms.setdefault(name, Histogram(name))
         return inst
 
+    def defer_incr(self, name: str, amount: float) -> None:
+        """Queue a counter increment without taking any lock.
+
+        ``deque.append`` is atomic, so this is safe from a callback that
+        interrupted a thread holding an instrument or registry lock. The
+        increment lands in the counter at the next :meth:`snapshot`.
+        """
+        self._deferred.append((name, amount))
+
+    def _apply_deferred(self) -> None:
+        pending = self._deferred
+        while True:
+            try:
+                name, amount = pending.popleft()
+            except IndexError:  # drained (possibly by another reader)
+                return
+            self.counter(name).inc(amount)
+
     def snapshot(self) -> Dict[str, Dict]:
         """A plain-dict dump of every instrument (JSON-serialisable)."""
+        self._apply_deferred()
         return {
             "counters": {n: c.value for n, c in sorted(self.counters.items())},
             "gauges": {n: g.value for n, g in sorted(self.gauges.items())},

@@ -177,3 +177,28 @@ def test_artifact_not_pickled_with_sourcefile():
     assert isinstance(artifact_for(clone), FileArtifact)
     assert repr(artifact_for(clone).functions) == \
         repr(artifact_for(source).functions)
+
+
+def test_artifact_holds_its_source_weakly():
+    """No back-reference cycle: dropping the SourceFile frees both."""
+    import gc
+    import weakref
+
+    import pytest
+
+    source = SourceFile("lib/t.c", "int f(int a) { return a; }\n")
+    art = artifact_for(source)
+    assert art.source is source
+    art.cfgs  # populate every structural view
+    gone = weakref.ref(source)
+    gc.disable()  # refcounting alone must free the file
+    try:
+        del source
+        assert gone() is None
+    finally:
+        gc.enable()
+    with pytest.raises(ReferenceError, match="lib/t.c"):
+        art.source
+    with pytest.raises(ReferenceError, match="lib/t.c"):
+        art.tokens
+    assert "lib/t.c" in repr(art)

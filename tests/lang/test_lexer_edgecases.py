@@ -39,6 +39,26 @@ class TestCarriageReturnLines:
             assert n_newlines == len(text.splitlines()) - 1, text
             assert toks[-1].line == len(text.splitlines()), text
 
+    def test_lone_cr_ends_line_bound_tokens(self):
+        # Directives, line comments and plain strings stop at a lone \r
+        # exactly as they stop at \n; the next token is on line 2.
+        for text, spec in (("#\r0", C), ("//\r0", C), ('"a\r0', C),
+                           ('"a\\\r0', C), ("#\r0", PYTHON)):
+            toks = tokenize(text, spec)
+            assert toks[-1].text == "0" and toks[-1].line == 2, (text, toks)
+            assert "\r" not in toks[0].text, (text, toks)
+
+    def test_crlf_stays_inside_line_bound_tokens(self):
+        toks = tokenize("#x\r\n//y\r\n0", C)
+        assert [t.text for t in toks[:3]] == ["#x\r", "\n", "//y\r"]
+        assert toks[-1].line == 3
+
+    def test_lone_cr_inside_multiline_tokens_counts(self):
+        for text, spec in (("/*\r*/0", C), ("/*\r\n\r*/0", C),
+                           ("'''\r'''0", PYTHON), ("'''\r\n\r'''0", PYTHON)):
+            toks = tokenize(text, spec)
+            assert toks[-1].line == len(text.splitlines()), (text, toks)
+
 
 class TestDigitSeparators:
     def test_cpp_quote_separator_single_token(self):

@@ -1,5 +1,6 @@
 """Telemetry stream: emit/read round-trip, rotation, replay."""
 
+import gc
 import json
 import threading
 
@@ -199,10 +200,15 @@ class TestFacadeStreaming:
 
     def test_event_is_stream_only(self, tmp_path):
         path = str(tmp_path / "stream.jsonl")
-        session = obs.configure(stream_path=path)
-        obs.event("engine.pool_rebuild", suspects=["app"])
-        snapshot = session.metrics.snapshot()
-        obs.disable()
+        # A collection would add runtime.gc.* counters to the session.
+        gc.disable()
+        try:
+            session = obs.configure(stream_path=path)
+            obs.event("engine.pool_rebuild", suspects=["app"])
+            snapshot = session.metrics.snapshot()
+            obs.disable()
+        finally:
+            gc.enable()
         assert snapshot["counters"] == {}
         (event,) = read_events(path)
         assert event["fields"] == {"suspects": ["app"]}
