@@ -9,7 +9,7 @@ Modules:
 - :mod:`repro.analysis.cfg` — statement trees and control-flow graphs
 - :mod:`repro.analysis.dataflow` — reaching definitions, def-use, taint
 - :mod:`repro.analysis.callgraph` — whole-codebase call graphs
-- :mod:`repro.analysis.smells` — code-smell detectors
+- :mod:`repro.analysis.smells` — code-smell counts
 - :mod:`repro.analysis.churn` — commit history, churn, developer activity
 - :mod:`repro.analysis.artifact` — the shared single-parse FileArtifact
 """
@@ -36,7 +36,7 @@ from repro.analysis.churn import Commit, CommitHistory, FileDelta
 from repro.analysis.cyclomatic import codebase_complexity, file_complexity
 from repro.analysis.halstead import HalsteadMetrics
 from repro.analysis.loc import LineCounts, count_codebase, count_file, kloc
-from repro.analysis.smells import Smell, detect_codebase, smell_counts
+from repro.analysis.smells import smell_counts
 
 __all__ = [
     "CFG",
@@ -46,7 +46,6 @@ __all__ = [
     "FileDelta",
     "HalsteadMetrics",
     "LineCounts",
-    "Smell",
     "artifact",
     "artifact_for",
     "artifacts_for",
@@ -60,7 +59,6 @@ __all__ = [
     "cyclomatic",
     "dataflow",
     "dynamic",
-    "detect_codebase",
     "file_complexity",
     "functions",
     "halstead",

@@ -59,6 +59,8 @@ class ClassDesignMetrics:
 def _inheritance_edges(source: SourceFile, code_tokens=None) -> Dict[str, str]:
     """Child-class -> parent-class edges recovered from headers."""
     edges: Dict[str, str] = {}
+    if "class" not in source.text:
+        return edges  # no `class` keyword token (most C files)
     tokens = (
         [t for t in source.tokens if t.is_code()]
         if code_tokens is None

@@ -1,32 +1,20 @@
-"""Code-smell detection [45, 46, 49, 55, 58, 64, 65, 68].
+"""Code-smell counts [45, 46, 49, 55, 58, 64, 65, 68].
 
 "Symptoms or patterns of bad coding practice" (§3): long methods, long
 parameter lists, deep nesting, god files, magic numbers, commented-out
-code, TODO markers, duplicated line windows, and over-long lines. Each
-detector yields :class:`Smell` records; the codebase-level counts feed the
-prediction model's feature vector.
+code, TODO markers, duplicated line windows, and over-long lines. The
+feature vector only consumes per-kind counts, so :func:`file_counts`
+computes exactly those in one sweep per view (function table, tokens,
+lines) and never builds a per-hit object.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List
+from typing import Dict
 
 from repro.lang.parser import extract_functions
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.lang.tokens import TokenKind
-
-
-@dataclass(frozen=True)
-class Smell:
-    """One detected code smell."""
-
-    kind: str
-    path: str
-    line: int
-    detail: str
-
 
 # -- thresholds (classic values from the smell literature) -------------------
 LONG_METHOD_LINES = 60
@@ -36,184 +24,95 @@ GOD_FILE_LINES = 1000
 LONG_LINE_COLUMNS = 120
 DUPLICATE_WINDOW = 6
 
-
-def long_methods(source: SourceFile, functions=None) -> List[Smell]:
-    """Functions longer than LONG_METHOD_LINES physical lines."""
-    if functions is None:
-        functions = extract_functions(source)
-    return [
-        Smell("long-method", source.path, f.start_line,
-              f"{f.name} is {f.length} lines")
-        for f in functions
-        if f.length > LONG_METHOD_LINES
-    ]
-
-
-def long_parameter_lists(source: SourceFile, functions=None) -> List[Smell]:
-    """Functions with more than LONG_PARAMETER_LIST parameters."""
-    if functions is None:
-        functions = extract_functions(source)
-    return [
-        Smell("long-parameter-list", source.path, f.start_line,
-              f"{f.name} takes {f.param_count} parameters")
-        for f in functions
-        if f.param_count > LONG_PARAMETER_LIST
-    ]
-
-
-def deep_nesting(source: SourceFile, functions=None) -> List[Smell]:
-    """Functions nested deeper than DEEP_NESTING levels."""
-    if functions is None:
-        functions = extract_functions(source)
-    return [
-        Smell("deep-nesting", source.path, f.start_line,
-              f"{f.name} nests {f.max_nesting} levels")
-        for f in functions
-        if f.max_nesting > DEEP_NESTING
-    ]
-
-
-def god_files(source: SourceFile) -> List[Smell]:
-    """Files longer than GOD_FILE_LINES physical lines."""
-    n = len(source.lines)
-    if n > GOD_FILE_LINES:
-        return [Smell("god-file", source.path, 1, f"file is {n} lines")]
-    return []
-
-
-def magic_numbers(source: SourceFile) -> List[Smell]:
-    """Numeric literals other than 0/1/2 outside of declarations."""
-    smells = []
-    trivial = {"0", "1", "2", "0.0", "1.0", "-1", "10", "100"}
-    for tok in source.tokens:
-        if tok.kind != TokenKind.NUMBER:
-            continue
-        norm = tok.text.rstrip("uUlLfF")
-        if norm in trivial:
-            continue
-        smells.append(
-            Smell("magic-number", source.path, tok.line, f"literal {tok.text}")
-        )
-    return smells
-
-
-def todo_comments(source: SourceFile) -> List[Smell]:
-    """TODO/FIXME/XXX/HACK markers in comments."""
-    markers = ("TODO", "FIXME", "XXX", "HACK")
-    smells = []
-    for tok in source.tokens:
-        if tok.kind != TokenKind.COMMENT:
-            continue
-        upper = tok.text.upper()
-        for marker in markers:
-            if marker in upper:
-                smells.append(
-                    Smell("todo-comment", source.path, tok.line, marker)
-                )
-                break
-    return smells
-
-
-def commented_out_code(source: SourceFile) -> List[Smell]:
-    """Comments that look like disabled code (end in ';' or contain '=')."""
-    smells = []
-    for tok in source.tokens:
-        if tok.kind != TokenKind.COMMENT:
-            continue
-        body = tok.text
-        for marker in source.spec.line_comment:
-            if body.startswith(marker):
-                body = body[len(marker):]
-                break
-        body = body.strip().rstrip("*/").strip()
-        looks_like_code = (
-            body.endswith(";")
-            or body.endswith("{")
-            or body.startswith(("if (", "for (", "while (", "return "))
-        )
-        if looks_like_code and len(body) > 4:
-            smells.append(
-                Smell("commented-out-code", source.path, tok.line, body[:40])
-            )
-    return smells
-
-
-def long_lines(source: SourceFile) -> List[Smell]:
-    """Physical lines longer than LONG_LINE_COLUMNS columns."""
-    return [
-        Smell("long-line", source.path, i + 1, f"{len(line)} columns")
-        for i, line in enumerate(source.lines)
-        if len(line) > LONG_LINE_COLUMNS
-    ]
-
-
-def duplicate_code(source: SourceFile) -> List[Smell]:
-    """Repeated windows of DUPLICATE_WINDOW consecutive non-blank lines."""
-    lines = [ln.strip() for ln in source.lines]
-    meaningful = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
-    seen: Dict[str, int] = {}
-    smells = []
-    for start in range(len(meaningful) - DUPLICATE_WINDOW + 1):
-        window = meaningful[start : start + DUPLICATE_WINDOW]
-        digest = hashlib.sha1(
-            "\n".join(ln for _, ln in window).encode()
-        ).hexdigest()
-        first = seen.setdefault(digest, window[0][0])
-        if first != window[0][0]:
-            smells.append(
-                Smell("duplicate-code", source.path, window[0][0],
-                      f"duplicates lines starting at {first}")
-            )
-    return smells
-
-
-ALL_DETECTORS: Dict[str, Callable[[SourceFile], List[Smell]]] = {
-    "long-method": long_methods,
-    "long-parameter-list": long_parameter_lists,
-    "deep-nesting": deep_nesting,
-    "god-file": god_files,
-    "magic-number": magic_numbers,
-    "todo-comment": todo_comments,
-    "commented-out-code": commented_out_code,
-    "long-line": long_lines,
-    "duplicate-code": duplicate_code,
-}
-
-
-#: Detectors that consume the function table (get the shared one passed).
-_FUNCTION_DETECTORS = frozenset(
-    {"long-method", "long-parameter-list", "deep-nesting"}
+#: The smell kinds, in the order every count dict lists them.
+ALL_DETECTORS = (
+    "long-method",           # function longer than LONG_METHOD_LINES lines
+    "long-parameter-list",   # more than LONG_PARAMETER_LIST parameters
+    "deep-nesting",          # nested deeper than DEEP_NESTING levels
+    "god-file",              # file longer than GOD_FILE_LINES lines
+    "magic-number",          # numeric literal not in _TRIVIAL_NUMBERS
+    "todo-comment",          # comment holding one of _TODO_MARKERS
+    "commented-out-code",    # comment whose body reads like a statement
+    "long-line",             # line longer than LONG_LINE_COLUMNS columns
+    "duplicate-code",        # repeat of an earlier DUPLICATE_WINDOW window
 )
 
+#: Magic-number check: every NUMBER token counts unless its text, with
+#: trailing integer/float suffixes (``uUlLfF``) stripped, is one of these.
+#: Declarations are not exempt. A sign is its own operator token, so
+#: ``-1`` is trivial as its ``1``; ``0x10`` and ``1e2`` are magic.
+_TRIVIAL_NUMBERS = frozenset({"0", "1", "2", "0.0", "1.0", "10", "100"})
+_TODO_MARKERS = ("TODO", "FIXME", "XXX", "HACK")
+_CODE_PREFIXES = ("if (", "for (", "while (", "return ")
 
-def detect_file(source: SourceFile, functions=None) -> List[Smell]:
-    """Run every detector over one file.
+
+def file_counts(source: SourceFile, functions=None) -> Dict[str, int]:
+    """Per-kind smell counts for one file, keyed in ``ALL_DETECTORS`` order.
 
     ``functions`` lets the analysis artifact supply its cached function
-    table to the detectors that need one; the final sort is stable, so
-    detector-order ties are unchanged either way.
+    table; without it the file's own table is extracted.
     """
-    smells: List[Smell] = []
-    for kind, detector in ALL_DETECTORS.items():
-        if kind in _FUNCTION_DETECTORS:
-            smells.extend(detector(source, functions))
-        else:
-            smells.extend(detector(source))
-    smells.sort(key=lambda s: (s.line, s.kind))
-    return smells
+    if functions is None:
+        functions = extract_functions(source)
 
+    # One token pass: magic numbers, TODO markers, commented-out code.
+    # A comment is disabled code when its body — one leading line-comment
+    # marker and any trailing ``*/`` removed — is longer than four
+    # characters and ends in ';' or '{' or opens with a control keyword.
+    number, comment = TokenKind.NUMBER, TokenKind.COMMENT
+    line_markers = source.spec.line_comment
+    magic = todo = commented = 0
+    for tok in source.tokens:
+        kind = tok.kind
+        if kind is number:
+            if tok.text.rstrip("uUlLfF") not in _TRIVIAL_NUMBERS:
+                magic += 1
+        elif kind is comment:
+            body = tok.text
+            upper = body.upper()
+            if any(marker in upper for marker in _TODO_MARKERS):
+                todo += 1
+            for marker in line_markers:
+                if body.startswith(marker):
+                    body = body[len(marker):]
+                    break
+            body = body.strip().rstrip("*/").strip()
+            if len(body) > 4 and (body.endswith((";", "{"))
+                                  or body.startswith(_CODE_PREFIXES)):
+                commented += 1
 
-def detect_codebase(codebase: Codebase) -> List[Smell]:
-    """Run every detector over every file of ``codebase``."""
-    smells: List[Smell] = []
-    for source in codebase:
-        smells.extend(detect_file(source))
-    return smells
+    # Duplicate windows of DUPLICATE_WINDOW non-blank stripped lines:
+    # every window after the first of its kind is a repeat, so the count
+    # is the number of windows less the number of distinct ones.
+    lines = source.lines
+    meaningful = list(filter(None, map(str.strip, lines)))
+    windows = len(meaningful) - DUPLICATE_WINDOW + 1
+    duplicates = 0
+    if windows > 1:
+        shifted = [meaningful[k:] for k in range(DUPLICATE_WINDOW)]
+        duplicates = windows - len(set(zip(*shifted)))
+
+    return {
+        "long-method": sum(
+            1 for f in functions if f.length > LONG_METHOD_LINES),
+        "long-parameter-list": sum(
+            1 for f in functions if f.param_count > LONG_PARAMETER_LIST),
+        "deep-nesting": sum(
+            1 for f in functions if f.max_nesting > DEEP_NESTING),
+        "god-file": int(len(lines) > GOD_FILE_LINES),
+        "magic-number": magic,
+        "todo-comment": todo,
+        "commented-out-code": commented,
+        "long-line": sum(
+            1 for line in lines if len(line) > LONG_LINE_COLUMNS),
+        "duplicate-code": duplicates,
+    }
 
 
 def smell_counts(codebase: Codebase) -> Dict[str, int]:
-    """Per-kind smell counts — the shape the feature vector consumes."""
-    counts = {kind: 0 for kind in ALL_DETECTORS}
-    for smell in detect_codebase(codebase):
-        counts[smell.kind] += 1
+    """Per-kind smell counts summed over ``codebase``."""
+    counts = dict.fromkeys(ALL_DETECTORS, 0)
+    for source in codebase:
+        for kind, n in file_counts(source).items():
+            counts[kind] += n
     return counts

@@ -35,6 +35,9 @@ _ALLOC_FUNCS = frozenset({"malloc", "calloc", "realloc", "alloca"})
 
 _EXEC_FUNCS = frozenset({"system", "popen", "execl", "execlp", "execv", "execvp"})
 
+_SECURITY_IDENTS = frozenset({"key", "token", "nonce", "seed", "secret",
+                              "session", "password", "salt"})
+
 _RACE_PAIRS = (("access", "open"), ("stat", "open"), ("access", "fopen"),
                ("stat", "fopen"))
 
@@ -241,25 +244,28 @@ def check_toctou(source: SourceFile, tokens=None,
 
 def check_weak_random(source: SourceFile, tokens=None,
                       call_sites=None) -> List[Finding]:
-    """CWE-338: rand()/random() used where unpredictability matters."""
-    findings = []
+    """CWE-338: rand()/random() used where unpredictability matters.
+
+    A call site only counts when the file also names something
+    security-relevant (a key, token, nonce, ...), case-insensitively.
+    """
     if tokens is None:
         tokens = _code_tokens(source)
-    security_idents = {"key", "token", "nonce", "seed", "secret", "session",
-                       "password", "salt"}
-    idents = {t.text.lower() for t in tokens if t.kind == TokenKind.IDENT}
-    relevant = bool(idents & security_idents)
     if call_sites is None:
         call_sites = _call_sites(tokens)
-    for i in call_sites:
-        if tokens[i].text in ("rand", "random", "srand") and relevant:
-            findings.append(
-                Finding(TOOL, "weak-random", source.path, tokens[i].line,
-                        Severity.MEDIUM,
-                        f"{tokens[i].text}() is predictable; use a CSPRNG",
-                        cwe=338)
-            )
-    return findings
+    calls = [i for i in call_sites
+             if tokens[i].text in ("rand", "random", "srand")]
+    if not calls:
+        return []
+    idents = {t.text.lower() for t in tokens if t.kind == TokenKind.IDENT}
+    if idents.isdisjoint(_SECURITY_IDENTS):
+        return []
+    return [
+        Finding(TOOL, "weak-random", source.path, tokens[i].line,
+                Severity.MEDIUM,
+                f"{tokens[i].text}() is predictable; use a CSPRNG", cwe=338)
+        for i in calls
+    ]
 
 
 C_CHECKERS = (

@@ -8,81 +8,72 @@ deliberately noisy, like the real tools §4.2 proposes to amortise).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.bugfind.findings import Finding, Severity
 from repro.lang.parser import extract_functions
 from repro.lang.sourcefile import SourceFile
-from repro.lang.tokens import Token, TokenKind
+from repro.lang.tokens import TokenKind
 
 TOOL = "memlint"
 
 _ALLOC = frozenset({"malloc", "calloc", "realloc", "strdup"})
 
 
-def _events(tokens: List[Token]) -> List[Tuple[str, str, int]]:
-    """(kind, variable, line) events: alloc / free / use, in token order."""
-    events: List[Tuple[str, str, int]] = []
-    n = len(tokens)
-    skip: Set[int] = set()
-    for i, tok in enumerate(tokens):
-        if i in skip or tok.kind != TokenKind.IDENT:
-            continue
-        nxt = tokens[i + 1] if i + 1 < n else None
-        if nxt is not None and nxt.text == "(" and tok.text == "free":
-            if i + 2 < n and tokens[i + 2].kind == TokenKind.IDENT:
-                events.append(("free", tokens[i + 2].text, tok.line))
-                skip.add(i + 2)  # the argument is consumed by the free
-            continue
-        if nxt is not None and nxt.text == "(" and tok.text in _ALLOC:
-            # `p = malloc(...)` — the assigned variable is two back.
-            if i >= 2 and tokens[i - 1].text == "=" \
-                    and tokens[i - 2].kind == TokenKind.IDENT:
-                events.append(("alloc", tokens[i - 2].text, tok.line))
-            continue
-        if nxt is not None and (
-            nxt.text in ("[", "->")
-            or (nxt.text == "=" and i + 2 < n and tokens[i + 2].text != "=")
-        ):
-            kind = "assign" if nxt.text == "=" else "use"
-            events.append((kind, tok.text, tok.line))
-        elif tok.text not in _ALLOC and tok.text != "free":
-            events.append(("read", tok.text, tok.line))
-    return events
-
-
 def check_memory_lifecycle(source: SourceFile, functions=None) -> List[Finding]:
     """Per-function double-free / use-after-free / leak detection.
 
+    One pass over each body's tokens, in order: ``free(p)`` frees ``p``
+    (the argument is consumed), ``p = malloc(...)``-style calls allocate
+    it, ``p = ...`` reassigns it, and any other mention of a freed
+    variable (``p[``, ``p->``, a bare read) is a use after free.
     ``functions`` lets the analysis artifact supply its cached function
     table instead of re-extracting.
     """
     findings: List[Finding] = []
     if functions is None:
         functions = extract_functions(source)
+    ident = TokenKind.IDENT
     for func in functions:
         tokens = func.body_tokens  # already code-filtered by the parser
+        n = len(tokens)
         freed: Set[str] = set()
         allocated: Dict[str, int] = {}
-        for kind, var, line in _events(tokens):
-            if kind == "alloc":
-                allocated[var] = line
-                freed.discard(var)  # realloc-style reuse
-            elif kind == "free":
-                if var in freed:
-                    findings.append(
-                        Finding(TOOL, "double-free", source.path, line,
-                                Severity.CRITICAL,
-                                f"{var!r} freed twice in {func.name}()",
-                                cwe=415)
-                    )
-                freed.add(var)
-                allocated.pop(var, None)
-            elif kind == "assign":
+        skip = -1  # the argument of the last free, consumed by it
+        for i, tok in enumerate(tokens):
+            if i == skip or tok.kind is not ident:
+                continue
+            var = tok.text
+            nxt = tokens[i + 1].text if i + 1 < n else None
+            if nxt == "(" and var == "free":
+                if i + 2 < n and tokens[i + 2].kind is ident:
+                    skip = i + 2
+                    var = tokens[skip].text
+                    if var in freed:
+                        findings.append(
+                            Finding(TOOL, "double-free", source.path,
+                                    tok.line, Severity.CRITICAL,
+                                    f"{var!r} freed twice in {func.name}()",
+                                    cwe=415)
+                        )
+                    freed.add(var)
+                    allocated.pop(var, None)
+                continue
+            if nxt == "(" and var in _ALLOC:
+                # `p = malloc(...)` — the assigned variable is two back.
+                if i >= 2 and tokens[i - 1].text == "=" \
+                        and tokens[i - 2].kind is ident:
+                    var = tokens[i - 2].text
+                    allocated[var] = tok.line
+                    freed.discard(var)  # realloc-style reuse
+                continue
+            if var not in freed:
+                continue  # only a freed variable's next mention matters
+            if nxt == "=" and i + 2 < n and tokens[i + 2].text != "=":
                 freed.discard(var)  # reassignment gives a fresh object
-            elif kind in ("use", "read") and var in freed:
+            elif nxt in ("[", "->") or (var not in _ALLOC and var != "free"):
                 findings.append(
-                    Finding(TOOL, "use-after-free", source.path, line,
+                    Finding(TOOL, "use-after-free", source.path, tok.line,
                             Severity.CRITICAL,
                             f"{var!r} used after free in {func.name}()",
                             cwe=416)

@@ -358,17 +358,11 @@ def _collect_bugs_legacy(source: SourceFile) -> FileRecord:
 
 
 def _collect_smells(source: SourceFile) -> FileRecord:
-    counts = {kind: 0 for kind in smells.ALL_DETECTORS}
-    for smell in smells.detect_file(source, artifact_for(source).functions):
-        counts[smell.kind] += 1
-    return counts
+    return smells.file_counts(source, artifact_for(source).functions)
 
 
 def _collect_smells_legacy(source: SourceFile) -> FileRecord:
-    counts = {kind: 0 for kind in smells.ALL_DETECTORS}
-    for smell in smells.detect_file(source):
-        counts[smell.kind] += 1
-    return counts
+    return smells.file_counts(source)
 
 
 #: (span name, record key, collector) — analyzer-major so a cold run

@@ -47,28 +47,37 @@ programmatically::
     server.stop()
 """
 
-from repro.serve.aio import AsyncPredictionServer
-from repro.serve.enginepool import EnginePool, PoolSaturated
-from repro.serve.modelstore import ModelLoadError, ModelStore, load_model
-from repro.serve.payloads import (
-    SCHEMA_VERSION,
-    analysis_payload,
-    dump_payload,
-    prediction_payload,
-)
-from repro.serve.server import PredictionServer, ServingApp
+import importlib
 
-__all__ = [
-    "AsyncPredictionServer",
-    "EnginePool",
-    "ModelLoadError",
-    "ModelStore",
-    "PoolSaturated",
-    "PredictionServer",
-    "SCHEMA_VERSION",
-    "ServingApp",
-    "analysis_payload",
-    "dump_payload",
-    "load_model",
-    "prediction_payload",
-]
+#: Public name -> the submodule that defines it. Imported on first access
+#: (PEP 562), so ``from repro.serve.payloads import ...`` — the CLI, the
+#: gate and ``repro train`` — does not load the daemon tiers.
+_EXPORTS = {
+    "AsyncPredictionServer": "aio",
+    "EnginePool": "enginepool",
+    "ModelLoadError": "modelstore",
+    "ModelStore": "modelstore",
+    "PoolSaturated": "enginepool",
+    "PredictionServer": "server",
+    "SCHEMA_VERSION": "payloads",
+    "ServingApp": "server",
+    "analysis_payload": "payloads",
+    "dump_payload": "payloads",
+    "load_model": "modelstore",
+    "prediction_payload": "payloads",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

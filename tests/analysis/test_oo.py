@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis.oo import measure_codebase
-from repro.lang import Codebase
+from repro.analysis.oo import _inheritance_edges, measure_codebase
+from repro.lang import Codebase, SourceFile
 
 
 JAVA_PAIR = {
@@ -125,3 +125,32 @@ class TestDegenerate:
 
     def test_empty(self):
         assert measure_codebase(Codebase("e")).n_classes == 0
+
+
+class TestInheritanceEdges:
+    """Child -> parent edges straight from the class headers."""
+
+    @pytest.mark.parametrize("text", [
+        "struct node { int v; };\nint main(void) { return 0; }\n",
+        "/* class Foo : Bar */\nint klass = 0;\nint subclass(int x);\n",
+    ])
+    def test_c_file_has_none(self, text):
+        assert _inheritance_edges(SourceFile("t.c", text)) == {}
+
+    def test_java(self):
+        text = ("public class Teller extends Worker { }\n"
+                "class B extends A {}\nclass C implements I {}\n")
+        assert _inheritance_edges(SourceFile("T.java", text)) == {
+            "Teller": "Worker", "B": "A"}
+
+    def test_cpp(self):
+        text = ("class Base { };\nclass Derived : public Base { };\n"
+                "class D2 : private virtual Mid {};\nstruct S : Base {};\n")
+        assert _inheritance_edges(SourceFile("t.cpp", text)) == {
+            "Derived": "Base", "D2": "Mid"}
+
+    def test_python(self):
+        text = ("class A(Base):\n    pass\nclass B:\n    pass\n"
+                "class C(object, Mixin):\n    pass\n")
+        assert _inheritance_edges(SourceFile("t.py", text)) == {
+            "A": "Base", "C": "object"}
