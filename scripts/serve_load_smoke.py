@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""The CI serve-load leg: loadgen + SLO gate against both tiers.
+"""The CI serve-load leg: loadgen + SLO gate against the daemon.
 
 Trains a small model, then measures ``/analyze`` throughput end to
 end, daemon by daemon:
 
-1. the threaded tier (``--server thread``, single engine lock) at
-   concurrency 8 — the baseline the engine pool must beat;
-2. the async tier (engine pool sized to the host, capped at 4) at
-   concurrency 8 — must reach at least twice the baseline throughput
-   on a multi-core host (the pool's whole point);
-3. the async tier at concurrency 16 — the overload leg: high
+1. an engine pool of 1 (``--pool-size 1``, one extraction at a time)
+   at concurrency 8 — the baseline the sized pool must beat;
+2. an engine pool sized to the host (capped at 4) at concurrency 8 —
+   must reach at least twice the baseline throughput on a multi-core
+   host (the pool's whole point);
+3. the sized pool at concurrency 16 — the overload leg: high
    concurrency must produce bounded latency and clean 503 shedding,
    never errors, and the live daemon must then pass
    ``repro slo-check --url`` against the committed latency/shed-rate
@@ -160,8 +160,8 @@ def run_loadgen(base, concurrency, label, report):
     return summary
 
 
-def serve_argv(model, port, tier):
-    argv = [
+def serve_argv(model, port, pool_size):
+    return [
         sys.executable,
         "-m",
         "repro",
@@ -170,13 +170,10 @@ def serve_argv(model, port, tier):
         model,
         "--port",
         str(port),
-        "--server",
-        tier,
+        "--pool-size",
+        str(pool_size),
         "--no-cache",
     ]
-    if tier == "async":
-        argv += ["--pool-size", str(POOL_SIZE)]
-    return argv
 
 
 def main():
@@ -201,13 +198,13 @@ def main():
     if train.returncode != 0:
         fail(f"train exited {train.returncode}:\n{train.stderr}")
 
-    step("baseline: threaded tier (single engine lock), concurrency 8")
+    step("baseline: engine pool of 1, concurrency 8")
     port = free_port()
     base = f"http://127.0.0.1:{port}"
-    stderr_path = os.path.join(workdir, "thread.stderr")
+    stderr_path = os.path.join(workdir, "pool1.stderr")
     try:
         daemon, _ = boot_daemon(
-            serve_argv(model, port, "thread"),
+            serve_argv(model, port, 1),
             base,
             stderr_path,
             cwd=REPO_ROOT,
@@ -215,8 +212,8 @@ def main():
     except DaemonError as exc:
         fail(exc.message)
     try:
-        thread_c8 = run_loadgen(
-            base, 8, "analyze.thread.c8", "loadgen-thread-c8.json"
+        pool1_c8 = run_loadgen(
+            base, 8, "analyze.pool1.c8", "loadgen-pool1-c8.json"
         )
         shutdown_daemon(daemon, stderr_path)
     except DaemonError as exc:
@@ -224,13 +221,13 @@ def main():
     finally:
         kill_quietly(daemon)
 
-    step(f"async tier: engine pool of {POOL_SIZE}, concurrency 8 and 16")
+    step(f"engine pool of {POOL_SIZE}, concurrency 8 and 16")
     port = free_port()
     base = f"http://127.0.0.1:{port}"
     stderr_path = os.path.join(workdir, "async.stderr")
     try:
         daemon, _ = boot_daemon(
-            serve_argv(model, port, "async"),
+            serve_argv(model, port, POOL_SIZE),
             base,
             stderr_path,
             cwd=REPO_ROOT,
@@ -265,21 +262,21 @@ def main():
             f"exceeds 0.25"
         )
     ratio = (
-        async_c8["throughput_rps"] / thread_c8["throughput_rps"]
-        if thread_c8["throughput_rps"]
+        async_c8["throughput_rps"] / pool1_c8["throughput_rps"]
+        if pool1_c8["throughput_rps"]
         else float("inf")
     )
     cores = os.cpu_count() or 1
     step(
-        f"throughput: thread {thread_c8['throughput_rps']:.1f} req/s "
-        f"vs async {async_c8['throughput_rps']:.1f} req/s "
-        f"({ratio:.2f}x, pool {POOL_SIZE}, {cores} cores)"
+        f"throughput: pool 1 {pool1_c8['throughput_rps']:.1f} req/s "
+        f"vs pool {POOL_SIZE} {async_c8['throughput_rps']:.1f} req/s "
+        f"({ratio:.2f}x, {cores} cores)"
     )
     if cores >= 2 and POOL_SIZE >= 2:
         if ratio < 2.0:
             fail(
                 f"engine pool scaled only {ratio:.2f}x over the "
-                f"single-lock baseline (need >= 2x at concurrency 8)"
+                f"pool-of-1 baseline (need >= 2x at concurrency 8)"
             )
     else:
         step("single-core host: >= 2x scaling gate reported, not enforced")

@@ -376,11 +376,7 @@ def cmd_serve(args) -> int:
     serving. The handler only flags the request — the actual reload
     runs on the main thread's wait loop, never in signal context.
     """
-    from repro.serve import (
-        AsyncPredictionServer,
-        ModelStore,
-        PredictionServer,
-    )
+    from repro.serve import AsyncPredictionServer, ModelStore
     from repro.serve.modelstore import ModelLoadError as LoadError
 
     try:
@@ -388,22 +384,16 @@ def cmd_serve(args) -> int:
     except LoadError as exc:
         raise SystemExit(str(exc))
     slo_rules = _load_rules_or_exit(args.slo) if args.slo else ()
-    shared = dict(
+    server = AsyncPredictionServer(
+        store,
+        config=EngineConfig.from_args(args),
         host=args.host,
         port=args.port,
+        pool_size=args.pool_size,
+        checkout_timeout=args.checkout_timeout,
         slo_rules=slo_rules,
         access_log=args.access_log,
     )
-    if args.server == "thread":
-        server = PredictionServer(
-            store, engine=_engine_from_args(args), **shared)
-    else:
-        server = AsyncPredictionServer(
-            store,
-            config=EngineConfig.from_args(args),
-            pool_size=args.pool_size,
-            checkout_timeout=args.checkout_timeout,
-            **shared)
 
     wake = threading.Event()
     flags = {"stop": False, "reload": False}
@@ -423,11 +413,8 @@ def cmd_serve(args) -> int:
         previous[signal.SIGHUP] = signal.signal(
             signal.SIGHUP, _request_reload)
     try:
-        if args.server == "async":
-            server.start(warm=True)  # fork pool workers before traffic
-        else:
-            server.start()
-        print(f"repro-serve {package_version()} ({args.server}) "
+        server.start(warm=True)  # fork pool workers before traffic
+        print(f"repro-serve {package_version()} "
               f"listening on {server.url} "
               f"(models: {', '.join(store.names())})", file=sys.stderr)
         while True:
@@ -668,18 +655,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind address (default: 127.0.0.1)")
     p.add_argument("--port", type=int, default=8080,
                    help="bind port; 0 picks a free one (default: 8080)")
-    p.add_argument("--server", choices=("async", "thread"),
-                   default="async",
-                   help="serving tier: 'async' (keep-alive HTTP + "
-                        "engine pool, the default) or 'thread' (the "
-                        "single-engine-lock ThreadingHTTPServer)")
     p.add_argument("--pool-size", type=int, default=2, metavar="N",
-                   help="async tier: engine-pool slots — concurrent "
-                        "/analyze extraction bound (default: 2)")
+                   help="engine-pool slots — concurrent /analyze "
+                        "extraction bound (default: 2)")
     p.add_argument("--checkout-timeout", type=float, default=30.0,
                    metavar="SECONDS",
-                   help="async tier: how long /analyze waits for a "
-                        "free engine before 503 (default: 30.0)")
+                   help="how long /analyze waits for a free engine "
+                        "before 503 (default: 30.0)")
     p.add_argument("--slo", metavar="RULES.{toml,json}", default=None,
                    help="SLO rule file; /healthz reports degraded on "
                         "any breach")

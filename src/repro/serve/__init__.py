@@ -3,10 +3,9 @@
 The paper's Figure-4 system is not a one-shot script: applications
 stream in, features are extracted, and the trained model answers
 CVE-hypothesis queries on demand. This package is that serving layer —
-a stdlib-only HTTP daemon (`http.server.ThreadingHTTPServer`, no new
-dependencies) in front of the trained :class:`~repro.core.model.
-SecurityModel` bundles and the existing :class:`~repro.engine.
-ExtractionEngine`:
+a stdlib-only asyncio HTTP daemon (no new dependencies) in front of the
+trained :class:`~repro.core.model.SecurityModel` bundles and the
+existing :class:`~repro.engine.ExtractionEngine`:
 
 - :mod:`repro.serve.modelstore` — loads and validates one or more
   saved model bundles at startup (named ``NAME=PATH`` specs);
@@ -17,23 +16,20 @@ ExtractionEngine`:
   metrics (``serve.requests`` / ``serve.errors`` counters and
   ``serve.<endpoint>.seconds`` histograms in :mod:`repro.obs`);
 - :mod:`repro.serve.enginepool` — N extraction engines in worker
-  processes, checked out per ``/analyze`` request (the async tier's
+  processes, checked out per ``/analyze`` request (the daemon's
   concurrency unit);
-- :mod:`repro.serve.server` — the shared app core
-  (:class:`~repro.serve.server.ServingApp`: model store + blue/green
-  hot reload, health) and the threaded daemon;
-- :mod:`repro.serve.aio` — the asyncio daemon: keep-alive HTTP/1.1,
-  engine-pool ``/analyze``, direct load shedding at the loop.
+- :mod:`repro.serve.aio` — the daemon: keep-alive HTTP/1.1, model
+  store with blue/green hot reload, health, engine-pool ``/analyze``,
+  direct load shedding at the loop.
 
 ``/predict`` is scored inline on the handler thread that owns the
 request, one :func:`~repro.serve.payloads.prediction_payload` per row:
 scoring is ~0.1 ms of CPU, so a batching queue would only add latency.
 
-Both tiers serve ``POST /predict``, ``POST /analyze``,
+The daemon serves ``POST /predict``, ``POST /analyze``, ``POST /gate``,
 ``GET /healthz``, ``GET /metricz``, and ``GET|POST /models`` (model
-hot reload), and both build every response in
-:mod:`repro.serve.payloads` — so served bytes are identical across
-tiers and to the offline ``repro analyze --json`` path.
+hot reload), and builds every response in :mod:`repro.serve.payloads`
+— so served bytes are identical to the offline CLI's.
 
 Start one from the CLI with ``repro serve --model model.pkl`` or
 programmatically::
@@ -51,16 +47,14 @@ import importlib
 
 #: Public name -> the submodule that defines it. Imported on first access
 #: (PEP 562), so ``from repro.serve.payloads import ...`` — the CLI, the
-#: gate and ``repro train`` — does not load the daemon tiers.
+#: gate and ``repro train`` — does not load the daemon.
 _EXPORTS = {
     "AsyncPredictionServer": "aio",
     "EnginePool": "enginepool",
     "ModelLoadError": "modelstore",
     "ModelStore": "modelstore",
     "PoolSaturated": "enginepool",
-    "PredictionServer": "server",
     "SCHEMA_VERSION": "payloads",
-    "ServingApp": "server",
     "analysis_payload": "payloads",
     "dump_payload": "payloads",
     "load_model": "modelstore",

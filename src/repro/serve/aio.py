@@ -1,13 +1,16 @@
-"""The asyncio serving tier: keep-alive HTTP in front of an engine pool.
+"""The prediction daemon: keep-alive HTTP in front of an engine pool.
 
-:class:`AsyncPredictionServer` is the production face of the daemon.
-The event loop owns only connection plumbing — accepting sockets,
-parsing HTTP/1.1 framing, writing responses, persistent connections —
-and hands every parsed request to the same transport-free
-:func:`repro.serve.handlers.handle_request` the threaded tier uses, on
-a bounded worker-thread pool. Because the handler and payload layers
-are shared, every byte the async tier serves is identical to the
-threaded tier and to the offline CLI.
+:class:`AsyncPredictionServer` owns the long-lived pieces — the
+validated :class:`~repro.serve.modelstore.ModelStore` (and its
+blue/green reload), the :class:`~repro.serve.enginepool.EnginePool`
+that ``/analyze`` and ``/gate`` extract through, the SLO rules and
+access log, and the :mod:`repro.obs` session ``/metricz`` reads. The
+event loop owns only connection plumbing — accepting sockets, parsing
+HTTP/1.1 framing, writing responses, persistent connections — and
+hands every parsed request to the transport-free
+:func:`repro.serve.handlers.handle_request` on a bounded worker-thread
+pool. Because every response is built in the payload layer, the bytes
+served are identical to the offline CLI's.
 
 The concurrency model, layer by layer:
 
@@ -21,19 +24,18 @@ The concurrency model, layer by layer:
   behind it and ``max_inflight`` is the only bound it needs.
 - **Extractions** check an engine out of the
   :class:`~repro.serve.enginepool.EnginePool` — N worker *processes*,
-  so ``/analyze`` throughput scales with pool size instead of
-  serialising behind the threaded tier's single engine lock.
+  so ``/analyze`` throughput scales with pool size.
 
-Model hot reload is inherited from :class:`~repro.serve.server.
-ServingApp`: ``POST /models`` (or a SIGHUP re-scan wired up by the
-CLI) builds and validates a brand-new store, then swaps the reference
-atomically — in-flight requests finish on the snapshot they resolved
-at routing time, so a swap drops zero requests.
+Model hot reload: ``POST /models`` (or a SIGHUP re-scan wired up by
+the CLI) builds and validates a brand-new store, then swaps the
+reference atomically — in-flight requests finish on the snapshot they
+resolved at routing time, so a swap drops zero requests.
 """
 
 from __future__ import annotations
 
 import asyncio
+import re
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -42,18 +44,18 @@ from typing import Dict, Optional, Sequence
 
 from repro import obs, package_version
 from repro.engine import EngineConfig
-from repro.lang import Codebase
-from repro.obs.slo import SloRule
+from repro.obs.slo import SloRule, evaluate_slos
+from repro.serve.accesslog import AccessLog
 from repro.serve.enginepool import (
     DEFAULT_CHECKOUT_TIMEOUT,
     EnginePool,
 )
 from repro.serve.handlers import Response, handle_request
 from repro.serve.modelstore import ModelStore
-from repro.serve.server import ServingApp
+from repro.serve.payloads import SCHEMA_VERSION
 
 #: Connections idle in keep-alive longer than this are closed.
-DEFAULT_KEEPALIVE_TIMEOUT = 30.0
+KEEPALIVE_TIMEOUT = 30.0
 
 #: Largest accepted request body (bytes). /analyze and /predict bodies
 #: are small JSON documents; anything near this is a mistake or abuse.
@@ -61,6 +63,14 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: StreamReader limit — also caps one header block.
 _READER_LIMIT = 256 * 1024
+
+#: RFC 9110 field-name ``token``: no whitespace, so ``Name : value``
+#: and obs-fold continuation lines are rejected (RFC 9112 §5.1).
+_FIELD_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+
+#: RFC 9110 ``Content-Length = 1*DIGIT``: ``int()`` alone would also
+#: accept a sign, underscores and surrounding whitespace.
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class _BadRequest(Exception):
@@ -71,14 +81,16 @@ class _BadRequest(Exception):
         self.status = status
 
 
-class AsyncPredictionServer(ServingApp):
-    """The asyncio daemon: keep-alive HTTP, engine pool, hot reload.
+class AsyncPredictionServer:
+    """The prediction daemon: keep-alive HTTP, engine pool, hot reload.
 
     Args:
         store: validated model bundles (first one is the default).
         config: the :class:`~repro.engine.EngineConfig` every pool slot
             builds its private engine from (cache and failure-policy
-            knobs carry over; workers are forced to 1 per slot).
+            knobs carry over; workers are forced to 1 per slot). The
+            default takes its cache from ``REPRO_CACHE_DIR``, as CLI
+            runs do.
         host/port: bind address; port 0 picks a free port (the bound
             one is on :attr:`port` after construction — the listening
             socket is created eagerly so embedders and tests can
@@ -87,16 +99,15 @@ class AsyncPredictionServer(ServingApp):
             extraction bound.
         checkout_timeout: seconds an ``/analyze`` request may wait for
             a free engine before being shed.
-        handler_threads: worker threads running ``handle_request``;
-            defaults to ``4 * pool_size + 4`` so enough handlers exist
-            to keep every engine busy while others score predictions.
         max_inflight: requests admitted past the loop at once; beyond
-            it the loop sheds directly with 503. Defaults to
-            ``2 * handler_threads``.
-        keepalive_timeout: idle seconds before a persistent connection
-            is closed.
-
-    Remaining knobs are :class:`~repro.serve.server.ServingApp`'s.
+            it the loop sheds directly with 503. Defaults to twice the
+            handler threads.
+        slo_rules: optional :class:`~repro.obs.slo.SloRule` sequence;
+            ``/healthz`` evaluates them against the live metrics
+            snapshot and reports ``status: degraded`` on any breach.
+        access_log: optional path; each finished request appends one
+            structured JSON line (method, path, status, duration,
+            trace ID, rows scored, shed flag) there.
     """
 
     def __init__(
@@ -107,26 +118,29 @@ class AsyncPredictionServer(ServingApp):
         port: int = 8080,
         pool_size: int = 2,
         checkout_timeout: float = DEFAULT_CHECKOUT_TIMEOUT,
-        handler_threads: Optional[int] = None,
         max_inflight: Optional[int] = None,
-        keepalive_timeout: float = DEFAULT_KEEPALIVE_TIMEOUT,
         slo_rules: Optional[Sequence[SloRule]] = None,
         access_log: Optional[str] = None,
     ):
-        super().__init__(store, slo_rules=slo_rules, access_log=access_log)
+        self._store = store
+        self._reload_lock = threading.Lock()
+        self.slo_rules = tuple(slo_rules or ())
+        self.access_log = AccessLog(access_log) if access_log else None
+        # /metricz needs a registry even when the CLI passed no
+        # --profile/--trace; reuse an existing session rather than
+        # clobbering the one main() configured.
+        if not obs.is_enabled():
+            obs.configure()
         self.pool = EnginePool(
             config, size=pool_size, checkout_timeout=checkout_timeout)
-        if handler_threads is None:
-            handler_threads = 4 * pool_size + 4
-        if handler_threads < 1:
-            raise ValueError("handler_threads must be >= 1")
-        self.handler_threads = int(handler_threads)
+        # Enough handlers to keep every engine busy while the rest
+        # score predictions.
+        self.handler_threads = 4 * self.pool.size + 4
         self.max_inflight = int(
             max_inflight if max_inflight is not None
             else 2 * self.handler_threads)
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        self.keepalive_timeout = float(keepalive_timeout)
         self._executor = ThreadPoolExecutor(
             max_workers=self.handler_threads,
             thread_name_prefix="repro-serve-aio")
@@ -147,40 +161,95 @@ class AsyncPredictionServer(ServingApp):
         self._thread: Optional[threading.Thread] = None
         self._conn_tasks: "set[asyncio.Task]" = set()
 
-    # -- ServingApp contract ------------------------------------------
+    # -- models: snapshot + blue/green reload --------------------------
 
-    def analyze_one(self, codebase: Codebase,
-                    include_dynamic: bool = False) -> Dict[str, float]:
-        return self.pool.extract_one(
-            codebase, include_dynamic=include_dynamic)
+    @property
+    def store(self) -> ModelStore:
+        """The live model-store snapshot (atomic reference read).
 
-    def analyze_records(self, codebase: Codebase):
-        return self.pool.extract_with_records(codebase)
+        Handlers read this exactly once per request and resolve every
+        model lookup through that snapshot, so a concurrent
+        :meth:`reload_models` can never mix two store versions inside
+        one response.
+        """
+        return self._store
 
-    def engine_shape(self) -> Dict[str, object]:
-        return dict(self.pool.describe()["engine"])
+    def reload_models(self, specs: Optional[Sequence[str]] = None):
+        """Blue/green reload: build → validate → swap atomically.
+
+        With ``specs`` the new store is built from those ``NAME=PATH``
+        specs; without, the current store's own specs are re-read from
+        disk (the SIGHUP re-scan path). The new store is fully loaded
+        and validated *before* the reference swap, so a corrupt
+        replacement raises :class:`~repro.serve.modelstore.
+        ModelLoadError` and leaves the old store serving untouched.
+        Returns ``(old, new)`` store snapshots.
+        """
+        with self._reload_lock:
+            old = self._store
+            new = ModelStore.from_specs(
+                list(specs) if specs is not None else old.specs,
+                version=old.version + 1)
+            self._store = new
+        obs.incr("serve.model_reloads")
+        obs.event("serve.model_reload", version=new.version,
+                  previous_version=old.version, models=new.names())
+        return old, new
+
+    # -- identity -----------------------------------------------------
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
 
     def health(self) -> Dict[str, object]:
-        doc = super().health()
+        """The ``/healthz`` document (also handy for embedders).
+
+        With SLO rules loaded, the document gains an ``slo`` block
+        (verdict, breached rule names, rule count) evaluated against
+        the live metrics snapshot. ``status`` flips to ``"degraded"``
+        on any SLO breach or once the engine pool is broken.
+        """
+        store = self.store
         shape = self.pool.describe()
-        doc["pool"] = {key: shape[key] for key in (
-            "size", "in_use", "checkout_timeout", "rebuilds_left",
-            "broken")}
+        doc: Dict[str, object] = {
+            "schema_version": SCHEMA_VERSION,
+            "status": "ok",
+            "version": package_version(),
+            "models": store.describe(),
+            "models_version": store.version,
+            "engine": shape["engine"],
+            "pool": {key: shape[key] for key in (
+                "size", "in_use", "checkout_timeout", "rebuilds_left",
+                "broken")},
+            "inflight": {
+                "current": self._inflight,
+                "max": self.max_inflight,
+                "handler_threads": self.handler_threads,
+            },
+        }
+        if self.slo_rules:
+            session = obs.active()
+            snapshot = (session.metrics.snapshot()
+                        if session is not None else {})
+            report = evaluate_slos(self.slo_rules, snapshot)
+            doc["slo"] = {
+                "ok": report.ok,
+                "breached": report.breached,
+                "rules": len(self.slo_rules),
+            }
+            if not report.ok:
+                doc["status"] = "degraded"
         if shape["broken"]:
             # Every /analyze and /gate now fails until a restart; a
             # probe must not keep routing traffic here.
             doc["status"] = "degraded"
-        doc["inflight"] = {
-            "current": self._inflight,
-            "max": self.max_inflight,
-            "handler_threads": self.handler_threads,
-        }
         return doc
 
     # -- lifecycle ----------------------------------------------------
 
     def start(self, warm: bool = False) -> None:
-        """Serve on a background thread (tests and embedding).
+        """Serve on a background thread.
 
         Returns once the listener is accepting. With ``warm`` the
         engine pool's worker processes are spawned and initialised
@@ -190,15 +259,10 @@ class AsyncPredictionServer(ServingApp):
         if warm:
             self.pool.prestart()
         self._thread = threading.Thread(
-            target=self._run_loop, name="repro-serve-aio", daemon=True)
+            target=lambda: asyncio.run(self._main()),
+            name="repro-serve-aio", daemon=True)
         self._thread.start()
         self._started.wait(timeout=10.0)
-
-    def serve_forever(self, warm: bool = True) -> None:
-        """Serve on the calling thread (the CLI path); blocks."""
-        if warm:
-            self.pool.prestart()
-        self._run_loop()
 
     def stop(self) -> None:
         """Graceful stop: close the listener, drain, release engines.
@@ -223,16 +287,14 @@ class AsyncPredictionServer(ServingApp):
             self._sock.close()
         except OSError:  # already closed by the loop
             pass
-        self._shutdown_app()
+        if self.access_log is not None:
+            self.access_log.close()
 
     def _signal_stop(self) -> None:
         if self._stop_requested is not None:
             self._stop_requested.set()
 
     # -- event loop ----------------------------------------------------
-
-    def _run_loop(self) -> None:
-        asyncio.run(self._main())
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
@@ -325,7 +387,7 @@ class AsyncPredictionServer(ServingApp):
         try:
             blob = await asyncio.wait_for(
                 reader.readuntil(b"\r\n\r\n"),
-                timeout=self.keepalive_timeout)
+                timeout=KEEPALIVE_TIMEOUT)
         except asyncio.TimeoutError:
             return None
         except asyncio.IncompleteReadError as exc:
@@ -340,21 +402,31 @@ class AsyncPredictionServer(ServingApp):
             raise _BadRequest(400, f"malformed request line: {head[0]!r}")
         method, path, version = parts
         headers: Dict[str, str] = {}
+        lengths = set()
         for line in head[1:]:
             if not line:
                 continue
             name, sep, value = line.partition(":")
-            if not sep:
+            if not sep or not _FIELD_NAME.fullmatch(name):
                 raise _BadRequest(400, f"malformed header line: {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        if "chunked" in headers.get("transfer-encoding", "").lower():
-            raise _BadRequest(501, "chunked request bodies not supported")
+            name, value = name.lower(), value.strip()
+            if name == "content-length":
+                lengths.add(value)
+            headers[name] = value
+        # RFC 9112 §6.3: the body's framing must be unambiguous, or a
+        # proxy in front of us could read a different request than we do.
+        if "transfer-encoding" in headers:
+            raise _BadRequest(501, "transfer-coded request bodies not "
+                                   "supported")
+        if len(lengths) > 1:
+            raise _BadRequest(400, "conflicting Content-Length headers")
+        length_field = headers.get("content-length", "0")
+        if not _DIGITS.fullmatch(length_field):
+            raise _BadRequest(400, "bad Content-Length")
         try:
-            length = int(headers.get("content-length") or 0)
-        except ValueError:
-            raise _BadRequest(400, "bad Content-Length")
-        if length < 0:
-            raise _BadRequest(400, "bad Content-Length")
+            length = int(length_field)
+        except ValueError:  # more digits than int() converts
+            length = MAX_BODY_BYTES + 1
         if length > MAX_BODY_BYTES:
             raise _BadRequest(413, "request body too large")
         body = b""
@@ -362,7 +434,7 @@ class AsyncPredictionServer(ServingApp):
             try:
                 body = await asyncio.wait_for(
                     reader.readexactly(length),
-                    timeout=self.keepalive_timeout)
+                    timeout=KEEPALIVE_TIMEOUT)
             except (asyncio.IncompleteReadError, asyncio.TimeoutError):
                 raise _BadRequest(400, "truncated request body")
         connection = headers.get("connection", "").lower()

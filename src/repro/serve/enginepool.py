@@ -1,10 +1,9 @@
 """A pool of extraction engines for concurrent ``/analyze`` traffic.
 
-The threaded daemon serialised every ``/analyze`` behind one
-``engine_lock`` — correct, but it caps extraction throughput at one
+One engine behind a lock would cap extraction throughput at one
 request at a time no matter how many cores the host has. The
-:class:`EnginePool` replaces the lock with *N engines checked out per
-request*: each pool slot is a long-lived worker **process** owning its
+:class:`EnginePool` instead has *N engines checked out per request*:
+each pool slot is a long-lived worker **process** owning its
 own :class:`~repro.engine.ExtractionEngine` (built from the same
 :class:`~repro.engine.EngineConfig` the CLI resolves), so N requests
 extract genuinely in parallel — separate interpreters, no GIL

@@ -2,8 +2,8 @@
 
 Transport-free by design: :func:`handle_request` maps (method, path,
 body bytes) to a :class:`Response`, so the whole HTTP surface is unit-
-testable without sockets and the `http.server` glue in
-:mod:`repro.serve.server` stays a thin shell.
+testable without sockets and the asyncio transport in
+:mod:`repro.serve.aio` stays a thin shell.
 
 Every request increments ``serve.requests`` and lands a latency
 observation in ``serve.<endpoint>.seconds``; every non-2xx response
@@ -295,13 +295,10 @@ def _handle_analyze(app, doc: dict, ctx: RequestContext) -> Response:
         if len(codebase) == 0:
             raise HTTPError(
                 400, f"no recognised source files under {path!r}")
-        # Extraction concurrency is the server's business: the threaded
-        # tier serialises behind its engine lock, the async tier checks
-        # an engine out of its pool. Either way the request's
-        # thread-bound trace ID rides into the extraction (and any
-        # worker process it runs in).
+        # The request's thread-bound trace ID rides into the pool
+        # worker process that runs the extraction.
         try:
-            row = app.analyze_one(codebase, include_dynamic=dynamic)
+            row = app.pool.extract_one(codebase, include_dynamic=dynamic)
         except PoolSaturated as exc:
             ctx.shed = True
             raise HTTPError(
@@ -369,8 +366,8 @@ def _handle_gate(app, doc: dict, ctx: RequestContext) -> Response:
             row_base: Dict[str, float] = {}
             records_base: List[dict] = []
         else:
-            row_base, records_base = app.analyze_records(base)
-        row_head, records_head = app.analyze_records(head)
+            row_base, records_base = app.pool.extract_with_records(base)
+        row_head, records_head = app.pool.extract_with_records(head)
     except PoolSaturated as exc:
         ctx.shed = True
         raise HTTPError(
@@ -398,8 +395,8 @@ def handle_request(app, method: str, path: str, body: bytes,
                    headers: Optional[Dict[str, str]] = None) -> Response:
     """Route one request and record its telemetry.
 
-    ``app`` is the owning :class:`~repro.serve.server.PredictionServer`
-    (store, extraction hop, access log). ``headers`` is the
+    ``app`` is the owning :class:`~repro.serve.aio.AsyncPredictionServer`
+    (store, engine pool, access log). ``headers`` is the
     inbound header map (case-insensitive; used for ``traceparent``
     propagation and ``/metricz`` content negotiation). Never raises:
     every failure mode becomes a JSON error response with the right
@@ -455,9 +452,8 @@ def handle_request(app, method: str, path: str, body: bytes,
     span_id = getattr(request_span, "span_id", None) or 1
     response.headers.append(
         ("traceparent", format_traceparent(trace_id, span_id)))
-    access_log = getattr(app, "access_log", None)
-    if access_log is not None:
-        access_log.log(
+    if app.access_log is not None:
+        app.access_log.log(
             method=method,
             path=endpoint,
             status=response.status,

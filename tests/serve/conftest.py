@@ -1,9 +1,8 @@
 """Serving-layer fixtures: a saved model, a store, a live server.
 
 The server fixture binds port 0 (a free port) and runs the real
-`ThreadingHTTPServer` in a background thread, so the suite exercises
-actual sockets and concurrent handler threads — not a mocked
-transport.
+asyncio daemon in a background thread, so the suite exercises actual
+sockets and concurrent handler threads — not a mocked transport.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.engine import EngineConfig
-from repro.serve import AsyncPredictionServer, ModelStore, PredictionServer
+from repro.serve import AsyncPredictionServer, ModelStore
 
 
 @pytest.fixture(scope="module")
@@ -33,16 +32,12 @@ def store(model_file):
     return ModelStore.from_specs([f"default={model_file}"])
 
 
-@pytest.fixture(params=["thread", "async"])
-def tier_server(request, model_file):
-    """A live server on each tier, with a fresh single-model store."""
+@pytest.fixture(params=["async"])
+def tier_server(model_file):
+    """A live server with a fresh single-model store."""
     store = ModelStore.from_specs([f"default={model_file}"])
-    if request.param == "thread":
-        srv = PredictionServer(store, port=0)
-    else:
-        srv = AsyncPredictionServer(
-            store, config=EngineConfig(no_cache=True), port=0,
-            pool_size=1)
+    srv = AsyncPredictionServer(
+        store, config=EngineConfig(no_cache=True), port=0, pool_size=1)
     srv.start()
     yield srv
     srv.stop()
@@ -51,7 +46,10 @@ def tier_server(request, model_file):
 
 @pytest.fixture
 def server(store):
-    srv = PredictionServer(store, port=0)
+    """The daemon as ``repro serve --pool-size 1`` builds it: a default
+    :class:`EngineConfig` that defers to ``REPRO_CACHE_DIR`` and
+    ``REPRO_WORKERS``, and one pooled engine."""
+    srv = AsyncPredictionServer(store, port=0, pool_size=1)
     srv.start()
     yield srv
     srv.stop()

@@ -1,9 +1,12 @@
-"""The asyncio tier over real sockets: keep-alive, identity, shedding.
+"""The daemon over real sockets: identity, keep-alive, shedding.
 
-The async daemon must be byte-for-byte interchangeable with the
-threaded tier (same handlers, same payload layer), while adding what
-the threaded tier lacks: persistent connections, loop-level load
-shedding, and engine-pool ``/analyze`` concurrency.
+The load-bearing assertions are the byte-identity ones — a served
+``/analyze`` body must equal the offline ``repro analyze --json``
+stdout byte for byte, and a served ``/predict`` must equal the
+``prediction`` block the offline CLI computes. The CI serve-smoke leg
+re-checks the same contract against a subprocess daemon. The rest
+covers the transport: persistent connections, strict HTTP/1.1
+framing, loop-level load shedding and a clean lifecycle.
 """
 
 import http.client
@@ -62,9 +65,12 @@ class TestIdentity:
         doc = json.loads(body)
         assert doc["status"] == "ok"
         assert doc["version"] == package_version()
+        assert doc["models"][0]["name"] == "default"
         assert doc["pool"]["size"] == 1
-        assert doc["inflight"]["max"] == aserver.max_inflight
+        assert doc["inflight"] == {
+            "current": 1, "max": 16, "handler_threads": 8}
         assert doc["engine"]["workers"] == 1
+        assert "batching" not in doc
 
     def test_analyze_matches_offline_cli(self, aserver, tree, capsys):
         offline = offline_json(capsys, tree)
@@ -129,6 +135,30 @@ class TestKeepAlive:
             raw.sendall(b"NONSENSE\r\n\r\n")
             reply = raw.recv(65536)
         assert reply.startswith(b"HTTP/1.1 400 ")
+
+    @pytest.mark.parametrize("fields, status", [
+        (b"Content-Length: 3_0", 400),
+        (b"Content-Length: +30", 400),
+        (b"Content-Length: 0\r\nContent-Length: 30", 400),
+        (b"Content-Length : 30", 400),
+        (b"Transfer-Encoding: gzip\r\nContent-Length: 30", 501),
+        (b"Content-Length: " + b"9" * 5000, 413),
+    ], ids=["underscore", "sign", "conflicting", "space-before-colon",
+            "transfer-coding", "past-int-digit-limit"])
+    def test_ambiguous_body_framing_is_refused(self, aserver, fields,
+                                               status):
+        """RFC 9112 §6.3: framing that two parsers could read two ways
+        is answered with an error and the connection is closed."""
+        request = (b"GET /healthz HTTP/1.1\r\nHost: test\r\n" + fields
+                   + b"\r\n\r\n" + b"x" * 30)
+        with socket.create_connection(
+                (aserver.host, aserver.port), timeout=10) as raw:
+            raw.sendall(request)
+            reply = b""
+            while chunk := raw.recv(65536):  # EOF: the server closed
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert b"Connection: close" in reply
 
 
 class TestConcurrency:
@@ -215,6 +245,7 @@ class TestLifecycle:
             pool_size=1)
         try:
             assert srv.port > 0
+            assert str(srv.port) in srv.url
         finally:
             srv.stop()
             obs.disable()

@@ -157,21 +157,21 @@ class TestWorkerDeath:
             store, config=EngineConfig(no_cache=True), port=0,
             pool_size=1)
         try:
-            assert server.analyze_one(trees["survivor"])
+            assert server.pool.extract_one(trees["survivor"])
             health = server.health()
             assert health["status"] == "ok"
             assert health["pool"]["rebuilds_left"] == 0
             assert health["pool"]["broken"] is False
 
             with pytest.raises(RuntimeError, match="died twice"):
-                server.analyze_one(trees["doomed"])
+                server.pool.extract_one(trees["doomed"])
             health = server.health()
             assert health["status"] == "degraded"
             assert health["pool"]["rebuilds_left"] == 0
             assert health["pool"]["broken"] is True
             # a broken pool refuses at once instead of resubmitting
             with pytest.raises(RuntimeError, match="died twice"):
-                server.analyze_records(trees["survivor"])
+                server.pool.extract_with_records(trees["survivor"])
             assert server.pool.in_use == 0
         finally:
             server.stop()

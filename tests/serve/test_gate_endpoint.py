@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.serve import PredictionServer
+from repro.serve import AsyncPredictionServer
 from repro.serve.handlers import handle_request
 from repro.serve.payloads import SCHEMA_VERSION
 
@@ -39,9 +39,9 @@ RISKY_C = (
 
 @pytest.fixture
 def app(store):
-    server = PredictionServer(store, port=0)
+    server = AsyncPredictionServer(store, port=0, pool_size=1)
     yield server
-    server.httpd.server_close()
+    server.stop()
     obs.disable()
 
 

@@ -5,16 +5,16 @@ import json
 import pytest
 
 from repro import obs
-from repro.serve import PredictionServer
+from repro.serve import AsyncPredictionServer
 from repro.serve import handlers
 from repro.serve.handlers import HTTPError, Response, handle_request
 
 
 @pytest.fixture
 def app(store):
-    server = PredictionServer(store, port=0)
+    server = AsyncPredictionServer(store, port=0, pool_size=1)
     yield server
-    server.httpd.server_close()
+    server.stop()
     obs.disable()
 
 

@@ -1,4 +1,4 @@
-"""Blue/green model hot reload, on both serving tiers.
+"""Blue/green model hot reload on the live daemon.
 
 The contract under test: a reload builds and validates the new store
 *before* the atomic swap, so (a) concurrent requests across the swap

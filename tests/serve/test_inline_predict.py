@@ -1,4 +1,4 @@
-"""``/predict`` is scored inline on both serving tiers.
+"""``/predict`` is scored inline on the handler thread.
 
 No collector thread, no batch-size histogram, and the served bytes are
 exactly what the offline :func:`prediction_payload` produces for the

@@ -1,7 +1,7 @@
 """``repro.serve`` resolves its public names lazily (PEP 562).
 
 Reading ``SCHEMA_VERSION`` or a payload builder must not import the
-daemon tiers: the CLI, the gate and the train path only need
+daemon modules: the CLI, the gate and the train path only need
 ``repro.serve.payloads``. Each probe runs in a fresh interpreter so the
 test suite's own imports cannot mask an eager one.
 """
@@ -15,8 +15,7 @@ import pytest
 import repro.serve
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-DAEMON_MODULES = ("repro.serve.aio", "repro.serve.server",
-                  "repro.serve.enginepool")
+DAEMON_MODULES = ("repro.serve.aio", "repro.serve.enginepool")
 
 
 def loaded_after(code):
@@ -45,8 +44,7 @@ def test_names_resolve_on_access():
     loaded = loaded_after(
         "import repro.serve as s\n"
         "assert s.AsyncPredictionServer.__module__ == 'repro.serve.aio'\n"
-        "assert s.EnginePool.__module__ == 'repro.serve.enginepool'\n"
-        "assert s.ServingApp.__module__ == 'repro.serve.server'")
+        "assert s.EnginePool.__module__ == 'repro.serve.enginepool'")
     assert set(DAEMON_MODULES) <= loaded
 
 
@@ -57,3 +55,8 @@ def test_all_and_dir():
         assert name in dir(repro.serve)
     with pytest.raises(AttributeError):
         repro.serve.no_such_name
+
+
+def test_threaded_tier_is_gone():
+    with pytest.raises(AttributeError):
+        repro.serve.PredictionServer

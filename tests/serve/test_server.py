@@ -1,5 +1,9 @@
 """Live-socket tests: the daemon end to end over real HTTP.
 
+The daemon here is built the way ``repro serve --pool-size 1`` builds
+it, from a default engine config; ``test_aio.py`` covers the transport
+with the cache switched off.
+
 The load-bearing assertions here are the byte-identity ones — a served
 ``/analyze`` body must equal the offline ``repro analyze --json``
 stdout byte for byte, and a served ``/predict`` must equal the
@@ -15,7 +19,7 @@ import pytest
 
 from repro import obs, package_version
 from repro.cli import main
-from repro.serve import PredictionServer, handlers
+from repro.serve import AsyncPredictionServer, handlers
 from repro.serve.payloads import dump_payload
 
 from tests.serve.conftest import http
@@ -143,7 +147,7 @@ class TestConcurrency:
 
 
 class TestWedgedModel:
-    """The thread tier scores on the handler thread: a wedged model
+    """Predictions are scored on the handler thread: a wedged model
     call holds its own request only, never the daemon."""
 
     @pytest.fixture
@@ -224,21 +228,21 @@ class TestWedgedModel:
 
 class TestLifecycle:
     def test_stop_releases_the_port(self, store):
-        server = PredictionServer(store, port=0)
+        server = AsyncPredictionServer(store, port=0, pool_size=1)
         server.start()
         port = server.port
         server.stop()
         # the port must be immediately rebindable
-        rebound = PredictionServer(store, port=port)
+        rebound = AsyncPredictionServer(store, port=port, pool_size=1)
         rebound.start()
         rebound.stop()
         obs.disable()
 
     def test_reuses_existing_obs_session(self, store):
         session = obs.configure()
-        server = PredictionServer(store, port=0)
+        server = AsyncPredictionServer(store, port=0, pool_size=1)
         try:
             assert obs.active() is session
         finally:
-            server.httpd.server_close()
+            server.stop()
             obs.disable()

@@ -12,7 +12,7 @@ import pytest
 from repro import obs
 from repro.obs.export import read_jsonl
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
-from repro.serve import PredictionServer
+from repro.serve import AsyncPredictionServer
 from repro.serve.accesslog import AccessLog
 from repro.serve.handlers import handle_request
 
@@ -30,9 +30,9 @@ SOURCE = (
 
 @pytest.fixture
 def app(store):
-    server = PredictionServer(store, port=0)
+    server = AsyncPredictionServer(store, port=0, pool_size=1)
     yield server
-    server.httpd.server_close()
+    server.stop()
     obs.disable()
 
 
@@ -169,7 +169,7 @@ class TestAnalyzeSpanTree:
             self, store, tmp_path):
         trace_path = str(tmp_path / "trace.jsonl")
         session = obs.configure(trace_path=trace_path)
-        server = PredictionServer(store, port=0)
+        server = AsyncPredictionServer(store, port=0, pool_size=1)
         try:
             tree = tmp_path / "app"
             tree.mkdir()
@@ -181,7 +181,7 @@ class TestAnalyzeSpanTree:
                 headers={"traceparent": f"00-{trace}-00000000000000ff-01"})
             assert response.status == 200
         finally:
-            server.httpd.server_close()
+            server.stop()
         assert session.write_trace() > 0
         obs.disable()
 

@@ -505,10 +505,15 @@ class TestServeParser:
         assert args.model == ["m.pkl"]
         assert args.host == "127.0.0.1"
         assert args.port == 8080
-        assert args.server == "async"
         assert args.pool_size == 2
-        for removed in ("batch_window", "batch_size", "queue_depth"):
+        for removed in ("batch_window", "batch_size", "queue_depth",
+                        "server"):
             assert not hasattr(args, removed)
+
+    def test_server_tier_flag_is_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--model", "m.pkl", "--server", "thread"])
+        assert excinfo.value.code == 2
 
     def test_models_accumulate_and_engine_flags_apply(self):
         from repro.cli import _engine_from_args, build_parser
