@@ -6,7 +6,7 @@ Modules:
 - :mod:`repro.analysis.cyclomatic` — McCabe complexity
 - :mod:`repro.analysis.halstead` — Halstead software-science measures
 - :mod:`repro.analysis.functions` — function/declaration/variable shape
-- :mod:`repro.analysis.cfg` — statement trees and control-flow graphs
+- :mod:`repro.analysis.cfg` — basic-block control-flow graphs
 - :mod:`repro.analysis.dataflow` — reaching definitions, def-use, taint
 - :mod:`repro.analysis.callgraph` — whole-codebase call graphs
 - :mod:`repro.analysis.smells` — code-smell counts
@@ -31,7 +31,7 @@ from repro.analysis import (
     smells,
 )
 from repro.analysis.artifact import FileArtifact, artifact_for, artifacts_for
-from repro.analysis.cfg import CFG, build_cfg, parse_statements
+from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.churn import Commit, CommitHistory, FileDelta
 from repro.analysis.cyclomatic import codebase_complexity, file_complexity
 from repro.analysis.halstead import HalsteadMetrics
@@ -67,7 +67,6 @@ __all__ = [
     "loc",
     "maintainability",
     "oo",
-    "parse_statements",
     "smell_counts",
     "smells",
 ]

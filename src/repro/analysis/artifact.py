@@ -21,21 +21,20 @@ Sharing notes (why reuse cannot change results):
 
 - ``FunctionInfo.body_tokens`` produced by the parser are already
   code-filtered, so analyzers that re-filter them get the same list back.
-- CFG node ids are list indices assigned in lowering order, so a CFG
-  built here is identical to one an analyzer would have built itself.
-  Its ``kinds``/``stmts``/``succs`` lists are never mutated after the
-  build: the control-flow consumer reads metrics, the data-flow
-  consumer runs read-only fixpoints, and the memoized views
-  (``CFG.preds``, and the back-edge-free DAG ``CFG._dag`` the path
-  metrics walk) cannot go stale.
+- Statement and block ids are list indices assigned in lowering order,
+  so a CFG built here is identical to one an analyzer would have built
+  itself. Its block lists and per-statement flow facts are never
+  mutated after the build: the control-flow consumer reads metrics,
+  the data-flow consumer runs read-only fixpoints, and the memoized
+  back-edge-free DAG ``CFG._dag`` that both walk cannot go stale.
 - ``extract_classes`` fills in ``FunctionInfo.owner`` on the shared
   function list; no analyzer reads ``owner`` from a fresh extraction, so
   the mutation is unobservable.
 - The SourceFile owns its artifact (``source._artifact``) and the
   artifact refers back to it only through a weak reference, so no
   per-file object is part of a reference cycle: dropping the
-  SourceFile frees the artifact and every token, statement, CFG and
-  flow-info set it cached by refcount alone, without the cyclic
+  SourceFile frees the artifact and every token, function table and
+  CFG it cached by refcount alone, without the cyclic
   collector. Extraction relies on that to run with the collector paused
   (``repro.core.features``). An artifact kept past its SourceFile
   cannot recompute anything; :attr:`FileArtifact.source` raises
@@ -47,8 +46,7 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.cfg import CFG, build_cfg, code_tokens_by_line
-from repro.analysis.dataflow import NodeFlowInfo, node_flow_info
+from repro.analysis.cfg import CFG, build_cfg
 from repro.lang.parser import (
     ClassInfo,
     FunctionInfo,
@@ -69,8 +67,6 @@ class FileArtifact:
         "_functions",
         "_classes",
         "_cfgs",
-        "_tokens_by_line",
-        "_node_infos",
         "_call_sites",
     )
 
@@ -81,8 +77,6 @@ class FileArtifact:
         self._functions: Optional[List[FunctionInfo]] = None
         self._classes: Optional[List[ClassInfo]] = None
         self._cfgs: Optional[List[CFG]] = None
-        self._tokens_by_line: Optional[dict] = None
-        self._node_infos: Optional[List[Optional[NodeFlowInfo]]] = None
         self._call_sites: Optional[List[int]] = None
 
     @property
@@ -114,13 +108,6 @@ class FileArtifact:
             self._code_tokens = [t for t in self.source.tokens if t.is_code()]
         return self._code_tokens
 
-    @property
-    def tokens_by_line(self) -> dict:
-        """Code tokens grouped by line (Python statement recovery)."""
-        if self._tokens_by_line is None:
-            self._tokens_by_line = code_tokens_by_line(self.source.tokens)
-        return self._tokens_by_line
-
     # -- structural views -------------------------------------------------
 
     @property
@@ -143,13 +130,10 @@ class FileArtifact:
     def cfgs(self) -> List[CFG]:
         """One CFG per entry of :attr:`functions`, index-aligned."""
         if self._cfgs is None:
-            by_line = (
-                self.tokens_by_line
-                if self.source.spec.function_style == "indent"
-                else None
-            )
+            source = self.source
+            code_tokens = self.code_tokens
             self._cfgs = [
-                build_cfg(func, self.source, by_line) for func in self.functions
+                build_cfg(func, source, code_tokens) for func in self.functions
             ]
         return self._cfgs
 
@@ -173,14 +157,12 @@ class FileArtifact:
             ]
         return self._call_sites
 
-    def node_info(self, index: int) -> NodeFlowInfo:
-        """Per-node (defs, uses, calls) for ``cfgs[index]``, computed once."""
-        if self._node_infos is None:
-            self._node_infos = [None] * len(self.cfgs)
-        info = self._node_infos[index]
-        if info is None:
-            info = self._node_infos[index] = node_flow_info(self.cfgs[index])
-        return info
+    def node_info(self, index: int) -> Tuple[List[int], ...]:
+        """Per-statement ``(defs, uses, flags)`` masks of ``cfgs[index]``.
+
+        The lowering scans them while it builds the CFG (``CFG.facts``).
+        """
+        return self.cfgs[index].facts
 
     def function_cfgs(self) -> List[Tuple[FunctionInfo, CFG]]:
         """(function, cfg) pairs in function-table order."""

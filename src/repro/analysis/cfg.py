@@ -1,509 +1,140 @@
 """Control-flow analysis [15].
 
-Recovers a statement tree from a function body (brace matching for
-C/C++/Java, indentation for Python), then lowers it to a control-flow
-graph of basic blocks. The CFG yields the control-flow features the paper
-proposes in §4.1 — numbers of calling/returning targets, branch and edge
-counts — plus an independent cyclomatic number (E - N + 2) that
-cross-checks the token-counting McCabe implementation.
+Lowers each function body straight to a control-flow graph of basic
+blocks in one explicit-stack walk: a token walk for C/C++/Java, and an
+indentation stack over the body's code lines for Python. No statement
+tree is built, so no input nests deep enough to exhaust the interpreter
+stack. The CFG yields the control-flow features the paper proposes in
+§4.1 — numbers of calling/returning targets, branch and edge counts —
+plus an independent cyclomatic number (E - N + 2) that cross-checks the
+token-counting McCabe implementation.
+
+Every count is at statement granularity. Each statement the lowering
+recovers (plus the entry, exit and loop/switch join nodes) is one CFG
+node; a block is a chain of them in which every statement after the
+first has exactly one predecessor, the statement before it, and every
+statement before the last has exactly one successor, the statement
+after it. Labels, loop heads and joins always start a block; blocks
+need not be maximal. Condensing a chain removes as many nodes as edges,
+so E - N is unchanged, and a block's successors are its last
+statement's in the order the lowering first added each edge, so the
+back-edge-free DAG the path count walks is unchanged too.
+
+The walk that finds a statement's end also scans it for data-flow
+facts: the variables it defines and uses, as int masks over a
+per-function variable index, and whether it calls a taint source or
+sink (:data:`SOURCE`, :data:`SINK`). :mod:`repro.analysis.dataflow`
+runs its fixpoints over the blocks with those masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lang.parser import FunctionInfo, extract_functions
+from repro.lang.parser import FunctionInfo, extract_functions, line_indent
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.lang.tokens import Token, TokenKind
 
-# ---------------------------------------------------------------------------
-# Statement tree
-# ---------------------------------------------------------------------------
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+_OPERATOR = TokenKind.OPERATOR
 
+_ASSIGN_OPS = frozenset(
+    {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ":="}
+)
 
-@dataclass
-class Stmt:
-    """A node of the recovered statement tree."""
+#: Functions whose return value or out-parameter is attacker-influenced.
+TAINT_SOURCES = frozenset(
+    {"read", "recv", "recvfrom", "fread", "fgets", "gets", "scanf", "fscanf",
+     "getenv", "getchar", "input", "raw_input", "readline", "readLine",
+     "nextLine", "getParameter", "args", "argv"}
+)
 
-    kind: str  # simple|if|loop|switch|return|break|continue|goto|label|try
-    tokens: List[Token] = field(default_factory=list)  # header/expression toks
-    body: List["Stmt"] = field(default_factory=list)
-    orelse: List["Stmt"] = field(default_factory=list)
-    cases: List[List["Stmt"]] = field(default_factory=list)  # switch/try arms
+#: Functions where attacker-influenced data is dangerous.
+TAINT_SINKS = frozenset(
+    {"strcpy", "strcat", "sprintf", "vsprintf", "system", "popen", "exec",
+     "execl", "execlp", "execv", "execvp", "eval", "memcpy", "alloca",
+     "printf", "fprintf", "syslog", "Runtime", "query", "os"}
+)
 
+#: Statement flag bits: the statement calls a taint source / sink.
+SOURCE = 1
+SINK = 2
 
-_LOOP_KEYWORDS = {"while", "for", "do"}
-
-
-class _BraceStmtParser:
-    """Parses the statement shape of a brace-language token stream."""
-
-    def __init__(self, tokens: Sequence[Token]):
-        # Callers pass parser-produced body tokens, which are already
-        # code-filtered (see ``extract_functions``).
-        self.tokens = tokens
-        self.i = 0
-
-    def parse(self) -> List[Stmt]:
-        stmts, _ = self._parse_until({None})
-        return stmts
-
-    # -- helpers ----------------------------------------------------------
-
-    def _peek(self) -> Optional[Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _advance(self) -> Optional[Token]:
-        tok = self._peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def _skip_parens(self) -> List[Token]:
-        """Consume a balanced ``( ... )`` group; return the inner tokens."""
-        toks = self.tokens
-        n = len(toks)
-        i = self.i
-        if i >= n or toks[i].text != "(":
-            return []
-        inner: List[Token] = []
-        append = inner.append
-        depth = 1
-        i += 1
-        while i < n:
-            tok = toks[i]
-            i += 1
-            text = tok.text
-            if text == "(":
-                depth += 1
-            elif text == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            append(tok)
-        self.i = i
-        return inner
-
-    def _parse_until(self, terminators) -> Tuple[List[Stmt], Optional[str]]:
-        """Parse statements until EOF or a terminator token text."""
-        stmts: List[Stmt] = []
-        toks = self.tokens
-        n = len(toks)
-        while self.i < n:
-            text = toks[self.i].text
-            if text in terminators:
-                return stmts, text
-            stmt = self._parse_statement()
-            if stmt is not None:
-                stmts.append(stmt)
-        return stmts, None
-
-    def _parse_block_or_statement(self) -> List[Stmt]:
-        tok = self._peek()
-        if tok is not None and tok.text == "{":
-            self._advance()
-            stmts, term = self._parse_until({"}"})
-            if term == "}":
-                self._advance()
-            return stmts
-        stmt = self._parse_statement()
-        return [stmt] if stmt is not None else []
-
-    def _parse_statement(self) -> Optional[Stmt]:
-        tok = self._peek()
-        if tok is None:
-            return None
-        text = tok.text
-
-        if text == ";":
-            self._advance()
-            return None
-        if text == "{":
-            self._advance()
-            stmts, term = self._parse_until({"}"})
-            if term == "}":
-                self._advance()
-            return Stmt("simple", body=stmts) if stmts else None
-        if text == "}":
-            # Unbalanced close: consume so parsing always terminates.
-            self._advance()
-            return None
-
-        if tok.kind == TokenKind.KEYWORD:
-            if text == "if":
-                return self._parse_if()
-            if text in ("while", "for"):
-                self._advance()
-                cond = self._skip_parens()
-                body = self._parse_block_or_statement()
-                return Stmt("loop", tokens=cond, body=body)
-            if text == "do":
-                self._advance()
-                body = self._parse_block_or_statement()
-                cond: List[Token] = []
-                if self._peek() is not None and self._peek().text == "while":
-                    self._advance()
-                    cond = self._skip_parens()
-                    self._consume_semicolon()
-                return Stmt("loop", tokens=cond, body=body)
-            if text == "switch":
-                return self._parse_switch()
-            if text == "try":
-                return self._parse_try()
-            if text in ("return", "throw"):
-                self._advance()
-                expr = self._consume_simple()
-                return Stmt("return", tokens=expr)
-            if text in ("break", "continue"):
-                self._advance()
-                self._consume_semicolon()
-                return Stmt(text)
-            if text == "goto":
-                self._advance()
-                target = self._consume_simple()
-                return Stmt("goto", tokens=target)
-            if text == "else":
-                # Dangling else (shouldn't happen); treat as a block.
-                self._advance()
-                return Stmt("simple", body=self._parse_block_or_statement())
-
-        # Label: IDENT ':' not inside an expression.
-        if (
-            tok.kind == TokenKind.IDENT
-            and self.i + 1 < len(self.tokens)
-            and self.tokens[self.i + 1].text == ":"
-        ):
-            self._advance()
-            self._advance()
-            return Stmt("label", tokens=[tok])
-
-        return Stmt("simple", tokens=self._consume_simple(leading=True))
-
-    def _parse_if(self) -> Stmt:
-        self._advance()  # if
-        cond = self._skip_parens()
-        then = self._parse_block_or_statement()
-        orelse: List[Stmt] = []
-        nxt = self._peek()
-        if nxt is not None and nxt.text == "else":
-            self._advance()
-            orelse = self._parse_block_or_statement()
-        return Stmt("if", tokens=cond, body=then, orelse=orelse)
-
-    def _parse_switch(self) -> Stmt:
-        self._advance()  # switch
-        cond = self._skip_parens()
-        cases: List[List[Stmt]] = []
-        tok = self._peek()
-        if tok is None or tok.text != "{":
-            return Stmt("switch", tokens=cond, cases=cases)
-        self._advance()
-        current: Optional[List[Stmt]] = None
-        while True:
-            tok = self._peek()
-            if tok is None:
-                break
-            if tok.text == "}":
-                self._advance()
-                break
-            if tok.kind == TokenKind.KEYWORD and tok.text in ("case", "default"):
-                self._advance()
-                while self._peek() is not None and self._peek().text != ":":
-                    self._advance()
-                if self._peek() is not None:
-                    self._advance()  # ':'
-                current = []
-                cases.append(current)
-                continue
-            stmt = self._parse_statement()
-            if stmt is not None:
-                if current is None:
-                    current = []
-                    cases.append(current)
-                current.append(stmt)
-        return Stmt("switch", tokens=cond, cases=cases)
-
-    def _parse_try(self) -> Stmt:
-        self._advance()  # try
-        body = self._parse_block_or_statement()
-        cases: List[List[Stmt]] = []
-        while True:
-            tok = self._peek()
-            if tok is None or tok.text not in ("catch", "finally"):
-                break
-            self._advance()
-            if tok.text == "catch":
-                self._skip_parens()
-            cases.append(self._parse_block_or_statement())
-        return Stmt("try", body=body, cases=cases)
-
-    def _consume_semicolon(self) -> None:
-        tok = self._peek()
-        if tok is not None and tok.text == ";":
-            self._advance()
-
-    def _consume_simple(self, leading: bool = False) -> List[Token]:
-        """Consume an expression up to ``;`` (or a block boundary)."""
-        toks = self.tokens
-        n = len(toks)
-        i = self.i
-        out: List[Token] = []
-        append = out.append
-        depth = 0
-        while i < n:
-            tok = toks[i]
-            text = tok.text
-            if text in "([":
-                depth += 1
-            elif text in ")]":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif depth == 0:
-                if text == ";":
-                    i += 1
-                    break
-                if text == "{" or text == "}":
-                    break
-            append(tok)
-            i += 1
-        self.i = i
-        return out
+# Block ids of the entry and exit nodes.
+ENTRY = 0
+EXIT = 1
 
 
 # ---------------------------------------------------------------------------
-# Python statement tree (indentation-based)
-# ---------------------------------------------------------------------------
-
-_PY_HEADERS = {"if", "elif", "else", "while", "for", "try", "except",
-               "finally", "with", "def", "class", "match", "case"}
-
-
-def _py_parse_lines(
-    source: SourceFile,
-    start: int,
-    end: int,
-    tokens_by_line: Optional[dict] = None,
-) -> List[Stmt]:
-    """Parse lines [start, end] (1-based, inclusive) into a statement tree.
-
-    ``tokens_by_line`` maps line number -> code tokens on that line; when a
-    caller analyses every function in a file (the analysis artifact) it is
-    computed once per file instead of once per function.
-    """
-    if tokens_by_line is None:
-        tokens_by_line = code_tokens_by_line(source.tokens)
-    return _py_parse_range(source.lines, tokens_by_line, end, start, end)
-
-
-# The helpers below are module-level functions, not closures: a recursive
-# nested function refers to itself through a cell, a reference cycle that
-# only the cyclic collector could free, once per parsed function.
-
-
-def _py_indent_of(lines: List[str], ln: int) -> int:
-    """Indent width of line ``ln`` (tabs to the next multiple of 8)."""
-    width = 0
-    for ch in lines[ln - 1]:
-        if ch == " ":
-            width += 1
-        elif ch == "\t":
-            width += 8 - width % 8
-        else:
-            break
-    return width
-
-
-def _py_block_end(
-    lines: List[str], by_line: dict, end: int, header: int, base_indent: int
-) -> int:
-    """Last code line (at most ``end``) of the block opened at ``header``."""
-    last = header
-    ln = header + 1
-    while ln <= end:
-        if ln in by_line:
-            if _py_indent_of(lines, ln) <= base_indent:
-                break
-            last = ln
-        ln += 1
-    return last
-
-
-def _py_parse_range(
-    lines: List[str], by_line: dict, end: int, lo: int, hi: int
-) -> List[Stmt]:
-    """Statements of lines [lo, hi]; nested blocks stop at line ``end``."""
-    stmts: List[Stmt] = []
-    ln = lo
-    while ln <= hi:
-        if ln not in by_line:
-            ln += 1
-            continue
-        toks = by_line[ln]
-        head = toks[0]
-        word = head.text if head.kind == TokenKind.KEYWORD else None
-        indent = _py_indent_of(lines, ln)
-        if word in ("if", "while", "for", "with", "try", "match"):
-            body_end = _py_block_end(lines, by_line, end, ln, indent)
-            body = _py_parse_range(lines, by_line, end, ln + 1, body_end)
-            kind = {"if": "if", "while": "loop", "for": "loop",
-                    "with": "simple", "try": "try", "match": "switch"}[word]
-            root = Stmt(kind, tokens=toks, body=body)
-            tail = root
-            ln = body_end + 1
-            while (ln <= hi and ln in by_line
-                   and _py_indent_of(lines, ln) == indent):
-                nxt = by_line[ln][0]
-                nword = nxt.text if nxt.kind == TokenKind.KEYWORD else None
-                if nword not in ("elif", "else", "except", "finally", "case"):
-                    break
-                arm_end = _py_block_end(lines, by_line, end, ln, indent)
-                arm = _py_parse_range(lines, by_line, end, ln + 1, arm_end)
-                if nword == "elif":
-                    nested = Stmt("if", tokens=by_line[ln], body=arm)
-                    tail.orelse = [nested]
-                    tail = nested
-                elif nword == "else":
-                    tail.orelse = arm
-                else:
-                    tail.cases.append(arm)
-                ln = arm_end + 1
-            stmts.append(root)
-            continue
-        if word in ("return", "raise"):
-            stmts.append(Stmt("return", tokens=toks))
-        elif word == "break":
-            stmts.append(Stmt("break"))
-        elif word == "continue":
-            stmts.append(Stmt("continue"))
-        elif word in ("def", "class"):
-            body_end = _py_block_end(lines, by_line, end, ln, indent)
-            stmts.append(Stmt("simple", tokens=toks))
-            ln = body_end + 1
-            continue
-        else:
-            stmts.append(Stmt("simple", tokens=toks))
-        ln += 1
-    return stmts
-
-
-def code_tokens_by_line(tokens: Sequence[Token]) -> dict:
-    """Group code tokens by their (1-based) line number."""
-    by_line: dict = {}
-    for tok in tokens:
-        if tok.is_code():
-            by_line.setdefault(tok.line, []).append(tok)
-    return by_line
-
-
-def parse_statements(
-    func: FunctionInfo,
-    source: SourceFile,
-    tokens_by_line: Optional[dict] = None,
-) -> List[Stmt]:
-    """Recover the statement tree for one function."""
-    if source.spec.function_style == "indent":
-        return _py_parse_lines(
-            source, func.start_line + 1, func.end_line, tokens_by_line
-        )
-    body = func.body_tokens
-    # ``body_tokens`` come from the parser already code-filtered; strip
-    # the enclosing braces if present.
-    if body and body[0].text == "{" and body[-1].text == "}":
-        body = body[1:-1]
-    return _BraceStmtParser(body).parse()
-
-
-# ---------------------------------------------------------------------------
-# CFG construction
+# The block IR
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class CFG:
-    """A function's control-flow graph plus derived metrics.
+    """A function's control-flow graph of basic blocks.
 
-    Nodes are the ints ``0 .. n_nodes - 1``. ``kinds[n]`` and
-    ``stmts[n]`` describe node ``n``; ``succs[n]`` lists its successors
-    once each, in the order the lowering first added the edge. The
-    lists are never mutated after :func:`build_cfg` returns, so the
-    derived views below are memoized.
+    Statements are the ints ``0 .. n_nodes - 1``. Block ``b`` holds
+    statements ``starts[b] .. ends[b] - 1`` in chain order and
+    ``succs[b]`` lists its successor blocks once each, in the order the
+    lowering first added the edge. Block :data:`ENTRY` starts with the
+    entry node and block :data:`EXIT` is the exit node alone.
+    ``facts`` is ``(defs, uses, flags)``, one int per statement: the
+    defined and used variables as masks over ``names`` (variable ->
+    bit), and the :data:`SOURCE`/:data:`SINK` call flags. Nothing is
+    mutated after :func:`build_cfg` returns, so derived views are
+    memoized.
     """
 
-    kinds: List[str]
-    stmts: List[Optional[Stmt]]
-    succs: List[List[int]]
-    entry: int
-    exit: int
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.kinds)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(map(len, self.succs))
+    def __init__(self, starts: List[int], ends: List[int],
+                 succs: List[List[int]], facts: Tuple[List[int], ...],
+                 n_returns: int, names: Dict[str, int]):
+        self.starts = starts
+        self.ends = ends
+        self.succs = succs
+        self.facts = facts
+        self.names = names
+        #: Return/throw/raise statements.
+        self.n_returns = n_returns
+        self.n_nodes = len(facts[0])
+        # Each chained statement contributes one edge inside its block.
+        self.n_edges = (self.n_nodes - len(starts)
+                        + sum(map(len, succs)))
+        self.n_branch_nodes = sum(len(out) > 1 for out in succs)
 
     @property
     def cyclomatic(self) -> int:
         """Cyclomatic number from graph shape: E - N + 2."""
         return self.n_edges - self.n_nodes + 2
 
-    @property
-    def n_branch_nodes(self) -> int:
-        return sum(1 for out in self.succs if len(out) > 1)
-
-    @cached_property
-    def preds(self) -> List[List[int]]:
-        """Predecessor lists, the reverse of :attr:`succs`."""
-        preds: List[List[int]] = [[] for _ in self.kinds]
-        for node, out in enumerate(self.succs):
-            for succ in out:
-                preds[succ].append(node)
-        return preds
-
     def path_count(self, cap: int = 10**9) -> int:
         """Number of acyclic entry→exit paths (NPATH-like), capped.
 
         Back edges are removed first, so loops contribute their fall-through
-        structure only; the count is exact on the resulting DAG. Nodes
-        unreachable from entry cannot lie on an entry→exit path, so the
-        walk covers reachable nodes only.
+        structure only; the count is exact on the resulting DAG. A chain
+        has one path through it, so counting over blocks counts the
+        statement-level paths.
         """
         order, succs = self._dag
-        counts = [0] * len(self.kinds)
-        counts[self.entry] = 1
-        for node in order:
-            c = counts[node]
+        counts = [0] * len(succs)
+        counts[ENTRY] = 1
+        for block in order:
+            c = counts[block]
             if not c:
                 continue
-            for succ in succs[node]:
+            for succ in succs[block]:
                 total = counts[succ] + c
                 counts[succ] = total if total < cap else cap
-        return counts[self.exit]
-
-    def max_depth(self) -> int:
-        """Longest acyclic path length from entry (statement depth proxy)."""
-        order, succs = self._dag
-        # -1 marks nodes no walk from entry has reached.
-        depth = [-1] * len(self.kinds)
-        depth[self.entry] = 0
-        for node in order:
-            d = depth[node]
-            if d < 0:
-                continue
-            d += 1
-            for succ in succs[node]:
-                if depth[succ] < d:
-                    depth[succ] = d
-        return max(depth)
+        return counts[EXIT]
 
     @cached_property
     def _dag(self):
-        """Shared back-edge-free DAG: both path metrics walk the same one."""
-        return _acyclic_dag(self.succs, self.entry)
+        """Back-edge-free DAG of the blocks reachable from entry."""
+        return _acyclic_dag(self.succs, ENTRY)
 
 
 def _acyclic_dag(adj: List[List[int]], entry: int):
@@ -544,154 +175,742 @@ def _acyclic_dag(adj: List[List[int]], entry: int):
     return postorder, succs
 
 
-class _CFGBuilder:
-    """Lowers a statement tree to a CFG of abstract nodes."""
+class _Blocks:
+    """Block emitter shared by both lowerings.
+
+    ``chain`` is the block the next statement may join: the block of
+    the statement emitted last, if that statement will have no
+    successor but the next one. A statement joins it when that block is
+    its only predecessor; otherwise it starts a new block.
+    """
+
+    __slots__ = ("starts", "ends", "succs", "defs", "uses", "flags",
+                 "chain", "returns")
 
     def __init__(self) -> None:
-        self.kinds: List[str] = []
-        self.stmts: List[Optional[Stmt]] = []
-        self.succs: List[List[int]] = []
-        self.entry = self._new("entry")
-        self.exit = self._new("exit")
-        self._labels: dict = {}
-        self._pending_gotos: List[Tuple[int, str]] = []
+        # Block ENTRY holds statement 0; block EXIT is filled last.
+        self.starts = [0, -1]
+        self.ends = [1, -1]
+        self.succs: List[List[int]] = [[], []]
+        self.defs = [0]
+        self.uses = [0]
+        self.flags = [0]
+        self.chain = ENTRY
+        self.returns = 0
 
-    def _new(self, kind: str, stmt: Optional[Stmt] = None) -> int:
-        node = len(self.kinds)
-        self.kinds.append(kind)
-        self.stmts.append(stmt)
-        self.succs.append([])
-        return node
+    def stmt(self, preds: List[int], d: int, u: int, fl: int,
+             ends: bool) -> int:
+        """Emit a statement whose predecessors are all known now."""
+        s = len(self.defs)
+        self.defs.append(d)
+        self.uses.append(u)
+        self.flags.append(fl)
+        c = self.chain
+        if len(preds) == 1 and preds[0] == c:
+            self.ends[c] = s + 1
+            block = c
+        else:
+            block = len(self.starts)
+            self.starts.append(s)
+            self.ends.append(s + 1)
+            self.succs.append([])
+            succs = self.succs
+            for p in preds:
+                out = succs[p]
+                if block not in out:
+                    out.append(block)
+        self.chain = -1 if ends else block
+        return block
 
-    def _edge(self, u: int, v: int) -> None:
-        # A repeated edge keeps its first position, as a DiGraph would.
-        out = self.succs[u]
-        if v not in out:
-            out.append(v)
+    def start(self, preds: List[int], d: int, u: int, fl: int, ends: bool,
+              block: int = -1) -> int:
+        """Emit a statement that starts a block (label, loop head, join).
 
-    def build(self, stmts: List[Stmt]) -> CFG:
-        tails = self._lower_seq(stmts, [self.entry], None, None)
-        for tail in tails:
-            self._edge(tail, self.exit)
-        for node, label in self._pending_gotos:
-            self._edge(node, self._labels.get(label, self.exit))
-        if not self.succs[self.entry]:
-            self._edge(self.entry, self.exit)
-        return CFG(self.kinds, self.stmts, self.succs, self.entry, self.exit)
-
-    def _connect(self, preds: List[int], node: int) -> None:
+        ``block`` is a block id from :meth:`reserve`, or -1 for a new one.
+        """
+        s = len(self.defs)
+        self.defs.append(d)
+        self.uses.append(u)
+        self.flags.append(fl)
+        if block < 0:
+            block = self.reserve()
+        self.starts[block] = s
+        self.ends[block] = s + 1
         for p in preds:
-            self._edge(p, node)
+            self.edge(p, block)
+        self.chain = -1 if ends else block
+        return block
 
-    def _lower_seq(
-        self,
-        stmts: List[Stmt],
-        preds: List[int],
-        break_to: Optional[int],
-        continue_to: Optional[int],
-    ) -> List[int]:
-        """Lower a statement list; return the open fall-through nodes."""
-        current = preds
-        for stmt in stmts:
-            if not current:
-                current = []  # unreachable code still lowered, dangling
-            current = self._lower_stmt(stmt, current, break_to, continue_to)
-        return current
+    def reserve(self) -> int:
+        """A block id for a join whose statement is emitted later."""
+        block = len(self.starts)
+        self.starts.append(-1)
+        self.ends.append(-1)
+        self.succs.append([])
+        return block
 
-    def _lower_stmt(
-        self,
-        stmt: Stmt,
-        preds: List[int],
-        break_to: Optional[int],
-        continue_to: Optional[int],
-    ) -> List[int]:
-        kind = stmt.kind
-        if kind == "simple":
-            node = self._new("stmt", stmt)
-            self._connect(preds, node)
-            if stmt.body:  # brace block wrapped as simple
-                return self._lower_seq(stmt.body, [node], break_to, continue_to)
-            return [node]
-        if kind == "if":
-            cond = self._new("branch", stmt)
-            self._connect(preds, cond)
-            then_tails = self._lower_seq(stmt.body, [cond], break_to, continue_to)
-            if stmt.orelse:
-                else_tails = self._lower_seq(stmt.orelse, [cond], break_to, continue_to)
-                return then_tails + else_tails
-            return then_tails + [cond]
-        if kind == "loop":
-            head = self._new("loop", stmt)
-            after = self._new("join")
-            self._connect(preds, head)
-            body_tails = self._lower_seq(stmt.body, [head], after, head)
-            for tail in body_tails:
-                self._edge(tail, head)
-            self._edge(head, after)
-            return [after]
-        if kind == "switch":
-            head = self._new("branch", stmt)
-            after = self._new("join")
-            self._connect(preds, head)
-            arms = stmt.cases or [stmt.body]
-            for arm in arms:
-                tails = self._lower_seq(arm, [head], after, continue_to)
+    def edge(self, p: int, block: int) -> None:
+        # A repeated edge keeps its first position.
+        out = self.succs[p]
+        if block not in out:
+            out.append(block)
+        if p == self.chain:
+            self.chain = -1
+
+    def close(self, names: Dict[str, int]) -> CFG:
+        """Give entry an edge to exit if it has none; emit exit."""
+        if self.ends[ENTRY] == 1 and not self.succs[ENTRY]:
+            self.edge(ENTRY, EXIT)
+        self.start([], 0, 0, 0, True, EXIT)
+        return CFG(self.starts, self.ends, self.succs,
+                   (self.defs, self.uses, self.flags), self.returns, names)
+
+
+# ---------------------------------------------------------------------------
+# Def/use scanning
+# ---------------------------------------------------------------------------
+#
+# A statement defines an identifier followed by an assignment operator
+# or ``++``/``--`` (or preceded by ``++``/``--``), and uses every
+# identifier that is not a call target or a plain ``=`` target. An
+# identifier followed by ``(`` is a call. Peeks never look outside the
+# statement's own tokens.
+
+
+def _scan(toks: Sequence[Token], i: int, end: int,
+          names: Dict[str, int]) -> Tuple[int, int, int]:
+    """(defs, uses, flags) of the statement ``toks[i:end]``."""
+    first = i
+    d = u = fl = 0
+    while i < end:
+        tok = toks[i]
+        if tok.kind is _IDENT:
+            name = tok.text
+            bit = names.get(name)
+            if bit is None:
+                bit = names[name] = 1 << len(names)
+            if i + 1 < end:
+                nxt = toks[i + 1]
+                text = nxt.text
+                if text == "(":
+                    if name in TAINT_SOURCES:
+                        fl |= SOURCE
+                    if name in TAINT_SINKS:
+                        fl |= SINK
+                    i += 1
+                    continue
+                if nxt.kind is _OPERATOR and text in _ASSIGN_OPS:
+                    d |= bit
+                    if text != "=":
+                        u |= bit
+                    i += 1
+                    continue
+                if text == "++" or text == "--":
+                    d |= bit
+                    u |= bit
+                    i += 1
+                    continue
+            if i > first and toks[i - 1].text in ("++", "--"):
+                d |= bit
+            u |= bit
+        i += 1
+    return d, u, fl
+
+
+def _simple(toks: Sequence[Token], i: int, n: int,
+            names: Dict[str, int]) -> Tuple[int, int, int, int]:
+    """Consume an expression statement up to ``;`` or a block boundary.
+
+    Returns ``(next index, defs, uses, flags)``: the statement's end is
+    found and its facts scanned in the same walk. The statement stops
+    before a ``{``/``}`` or unbalanced ``)``/``]``, and after a ``;``
+    (which is not part of it).
+    """
+    first = i
+    depth = 0
+    d = u = fl = 0
+    while i < n:
+        tok = toks[i]
+        text = tok.text
+        if tok.kind is _IDENT:
+            bit = names.get(text)
+            if bit is None:
+                bit = names[text] = 1 << len(names)
+            if i + 1 < n:
+                nxt = toks[i + 1]
+                ntext = nxt.text
+                if ntext == "(":
+                    if text in TAINT_SOURCES:
+                        fl |= SOURCE
+                    if text in TAINT_SINKS:
+                        fl |= SINK
+                    i += 1
+                    continue
+                if nxt.kind is _OPERATOR and ntext in _ASSIGN_OPS:
+                    d |= bit
+                    if ntext != "=":
+                        u |= bit
+                    i += 1
+                    continue
+                if ntext == "++" or ntext == "--":
+                    d |= bit
+                    u |= bit
+                    i += 1
+                    continue
+            if i > first and toks[i - 1].text in ("++", "--"):
+                d |= bit
+            u |= bit
+        elif text in "([":
+            depth += 1
+        elif text in ")]":
+            if depth == 0:
+                break
+            depth -= 1
+        elif depth == 0:
+            if text == ";":
+                i += 1
+                break
+            if text == "{" or text == "}":
+                break
+        i += 1
+    return i, d, u, fl
+
+
+def _parens(toks: Sequence[Token], i: int, n: int,
+            names: Dict[str, int]) -> Tuple[int, int, int, int]:
+    """Consume a balanced ``( ... )`` group at ``i``, if there is one.
+
+    Returns ``(next index, defs, uses, flags)`` of the inner tokens.
+    """
+    if i >= n or toks[i].text != "(":
+        return i, 0, 0, 0
+    depth = 1
+    j = i + 1
+    while j < n:
+        text = toks[j].text
+        if text == "(":
+            depth += 1
+        elif text == ")":
+            depth -= 1
+            if depth == 0:
+                return (j + 1,) + _scan(toks, i + 1, j, names)
+        j += 1
+    return (n,) + _scan(toks, i + 1, n, names)
+
+
+# ---------------------------------------------------------------------------
+# Brace-language lowering (C/C++/Java)
+# ---------------------------------------------------------------------------
+
+# Frame types of the explicit stack. A statement that needs nested
+# statements pushes a frame; the tails (open fall-through blocks) of a
+# finished statement are handed to the frame below it.
+_SEQ, _IF, _LOOP, _DO, _SWITCH, _TRY, _ELSE, _ARMS = range(8)
+
+_CLOSERS = frozenset({";", "}", ")", "]"})
+
+
+def _materialize(stack: list, pending: int, em: _Blocks) -> List[int]:
+    """Emit what the top ``pending`` frames deferred; the new preds.
+
+    A braced block used as a statement lowers to a statement node
+    followed by its body, but only when it holds a statement; a switch
+    arm opens at its first statement. Both wait for the first node the
+    walk emits inside them.
+    """
+    preds: Optional[List[int]] = None
+    for frame in stack[len(stack) - pending:]:
+        if frame[0] is _SWITCH:
+            preds = frame[4] = [frame[1]]
+        else:
+            block = em.stmt(frame[1] if preds is None else preds,
+                            0, 0, 0, False)
+            preds = frame[1] = [block]
+    return preds
+
+
+def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
+    """Lower the statements of ``toks[i:n]`` to a block CFG."""
+    em = _Blocks()
+    names: Dict[str, int] = {}
+    labels: Dict[str, int] = {}
+    gotos: List[Tuple[int, str]] = []
+    # _SEQ frames: [type, cur tails, break, continue, braced].
+    stack: list = [[_SEQ, [ENTRY], None, None, False]]
+    pending = 0  # how many frames on top wait for a first node
+    tails: Optional[List[int]] = None
+    want_body = False  # a frame asked for a block-or-statement child
+    preds: List[int] = []
+    brk = cont = None
+    while True:
+        if tails is not None:
+            frame = stack[-1]
+            kind = frame[0]
+            if kind is _SEQ:
+                frame[1] = tails
+                tails = None
+            elif kind is _SWITCH:
+                if frame[4] is not None:
+                    frame[4] = tails
+                tails = None
+            elif kind is _IF:
+                # [type, cond, break, continue, then tails or None]
+                if frame[4] is None:
+                    frame[4] = tails
+                    if i < n and toks[i].text == "else":
+                        i += 1
+                        preds, brk, cont = [frame[1]], frame[2], frame[3]
+                        tails = None
+                        want_body = True
+                    else:
+                        tails = tails + [frame[1]]
+                        stack.pop()
+                        continue
+                else:
+                    tails = frame[4] + tails
+                    stack.pop()
+                    continue
+            elif kind is _LOOP or kind is _DO:
+                # [type, head, join]
+                head = frame[1]
                 for tail in tails:
-                    self._edge(tail, after)
-            self._edge(head, after)  # no-match / fallthrough
-            return [after]
-        if kind == "try":
-            head = self._new("stmt", stmt)
-            self._connect(preds, head)
-            tails = self._lower_seq(stmt.body, [head], break_to, continue_to)
-            all_tails = list(tails)
-            for handler in stmt.cases:
-                h_tails = self._lower_seq(handler, [head], break_to, continue_to)
-                all_tails.extend(h_tails)
-            return all_tails
-        if kind == "return":
-            node = self._new("return", stmt)
-            self._connect(preds, node)
-            self._edge(node, self.exit)
-            return []
-        if kind == "break":
-            node = self._new("break", stmt)
-            self._connect(preds, node)
-            self._edge(node, break_to if break_to is not None else self.exit)
-            return []
-        if kind == "continue":
-            node = self._new("continue", stmt)
-            self._connect(preds, node)
-            self._edge(node, continue_to if continue_to is not None else self.exit)
-            return []
-        if kind == "goto":
-            node = self._new("goto", stmt)
-            self._connect(preds, node)
-            label = stmt.tokens[0].text if stmt.tokens else ""
-            self._pending_gotos.append((node, label))
-            return []
-        if kind == "label":
-            node = self._new("label", stmt)
-            self._connect(preds, node)
-            if stmt.tokens:
-                self._labels[stmt.tokens[0].text] = node
-            return [node]
-        raise ValueError(f"unknown statement kind: {kind!r}")
+                    em.edge(tail, head)
+                if kind is _DO and i < n and toks[i].text == "while":
+                    i, d, u, fl = _parens(toks, i + 1, n, names)
+                    s = em.starts[head]
+                    em.defs[s], em.uses[s], em.flags[s] = d, u, fl
+                    if i < n and toks[i].text == ";":
+                        i += 1
+                em.edge(head, frame[2])
+                tails = [em.start([], 0, 0, 0, False, frame[2])]
+                stack.pop()
+                continue
+            else:  # _TRY: [type, head, break, continue, tails so far]
+                frame[4] += tails
+                if i < n and toks[i].text in ("catch", "finally"):
+                    i += 1
+                    if toks[i - 1].text == "catch":
+                        i = _parens(toks, i, n, names)[0]
+                    preds, brk, cont = [frame[1]], frame[2], frame[3]
+                    tails = None
+                    want_body = True
+                else:
+                    tails = frame[4]
+                    stack.pop()
+                    continue
+
+        if want_body:
+            want_body = False
+            if i < n and toks[i].text == "{":
+                i += 1
+                stack.append([_SEQ, preds, brk, cont, True])
+                continue
+        else:
+            frame = stack[-1]
+            if frame[0] is _SEQ:
+                if i >= n or (frame[4] and toks[i].text == "}"):
+                    if i < n:
+                        i += 1
+                    tails = frame[1]
+                    stack.pop()
+                    if pending:
+                        pending -= 1
+                    if not stack:
+                        break
+                    continue
+                preds, brk, cont = frame[1], frame[2], frame[3]
+            else:  # _SWITCH: [type, head, join, continue, arm tails]
+                head, join = frame[1], frame[2]
+                tok = toks[i] if i < n else None
+                if tok is None or tok.text == "}":
+                    if tok is not None:
+                        i += 1
+                    if frame[4] is not None:
+                        for tail in frame[4]:
+                            em.edge(tail, join)
+                    em.edge(head, join)  # no-match / fallthrough
+                    tails = [em.start([], 0, 0, 0, False, join)]
+                    stack.pop()
+                    if pending:
+                        pending -= 1
+                    continue
+                if tok.kind is _KEYWORD and tok.text in ("case", "default"):
+                    i += 1
+                    while i < n and toks[i].text != ":":
+                        i += 1
+                    if i < n:
+                        i += 1
+                    if frame[4] is None:
+                        pending -= 1
+                    else:
+                        for tail in frame[4]:
+                            em.edge(tail, join)
+                    frame[4] = [head]
+                    continue
+                preds = frame[4] if frame[4] is not None else [head]
+                brk, cont = join, frame[3]
+
+        # -- one statement, with predecessors ``preds`` -----------------
+        if i >= n:
+            tails = preds
+            continue
+        tok = toks[i]
+        text = tok.text
+        if text in _CLOSERS:
+            # An empty statement, or an unbalanced closer: consume it so
+            # the walk always advances.
+            i += 1
+            tails = preds
+            continue
+        if text == "{":
+            i += 1
+            stack.append([_SEQ, preds, brk, cont, True])
+            pending += 1
+            continue
+        if pending:
+            preds = _materialize(stack, pending, em)
+            pending = 0
+        if tok.kind is _KEYWORD:
+            if text == "if":
+                i, d, u, fl = _parens(toks, i + 1, n, names)
+                cond = em.stmt(preds, d, u, fl, True)
+                stack.append([_IF, cond, brk, cont, None])
+                preds = [cond]
+                want_body = True
+                continue
+            if text == "while" or text == "for":
+                i, d, u, fl = _parens(toks, i + 1, n, names)
+                head = em.start(preds, d, u, fl, True)
+                join = em.reserve()
+                stack.append([_LOOP, head, join])
+                preds, brk, cont = [head], join, head
+                want_body = True
+                continue
+            if text == "do":
+                i += 1
+                head = em.start(preds, 0, 0, 0, True)
+                join = em.reserve()
+                stack.append([_DO, head, join])
+                preds, brk, cont = [head], join, head
+                want_body = True
+                continue
+            if text == "switch":
+                i, d, u, fl = _parens(toks, i + 1, n, names)
+                head = em.stmt(preds, d, u, fl, True)
+                join = em.reserve()
+                if i < n and toks[i].text == "{":
+                    i += 1
+                    stack.append([_SWITCH, head, join, cont, None])
+                    pending = 1
+                    continue
+                em.edge(head, join)
+                tails = [em.start([], 0, 0, 0, False, join)]
+                continue
+            if text == "try":
+                i += 1
+                head = em.stmt(preds, 0, 0, 0, True)
+                stack.append([_TRY, head, brk, cont, []])
+                preds = [head]
+                want_body = True
+                continue
+            if text == "return" or text == "throw":
+                i, d, u, fl = _simple(toks, i + 1, n, names)
+                em.edge(em.stmt(preds, d, u, fl, True), EXIT)
+                em.returns += 1
+                tails = []
+                continue
+            if text == "break" or text == "continue":
+                i += 1
+                if i < n and toks[i].text == ";":
+                    i += 1
+                target = brk if text == "break" else cont
+                em.edge(em.stmt(preds, 0, 0, 0, True),
+                        EXIT if target is None else target)
+                tails = []
+                continue
+            if text == "goto":
+                i += 1
+                label = toks[i].text if i < n else ""
+                if label in _CLOSERS or label == "{":
+                    label = ""
+                i, d, u, fl = _simple(toks, i, n, names)
+                gotos.append((em.stmt(preds, d, u, fl, True), label))
+                tails = []
+                continue
+            if text == "else":
+                # Dangling else: a statement node, then its body.
+                i += 1
+                preds = [em.stmt(preds, 0, 0, 0, False)]
+                want_body = True
+                continue
+        elif tok.kind is _IDENT and i + 1 < n and toks[i + 1].text == ":":
+            i += 2
+            bit = names.get(text)
+            if bit is None:
+                bit = names[text] = 1 << len(names)
+            block = labels[text] = em.start(preds, 0, bit, 0, False)
+            tails = [block]
+            continue
+        i, d, u, fl = _simple(toks, i, n, names)
+        tails = [em.stmt(preds, d, u, fl, False)]
+
+    for tail in tails:
+        em.edge(tail, EXIT)
+    for block, label in gotos:
+        em.edge(block, labels.get(label, EXIT))
+    return em.close(names)
+
+
+# ---------------------------------------------------------------------------
+# Python lowering (indentation)
+# ---------------------------------------------------------------------------
+
+_PY_BLOCKS = frozenset({"if", "while", "for", "with", "try", "match"})
+_PY_ARMS = frozenset({"elif", "else", "except", "finally", "case"})
+_line_of = attrgetter("line")
+
+
+def _lower_indent(toks: Sequence[Token], lines: List[str], lo: int,
+                  hi: int) -> CFG:
+    """Lower the code lines ``lo..hi`` (1-based, inclusive) to a block CFG.
+
+    Every code line is one statement. A block header (``if``, loops,
+    ``with``, ``try``, ``match``) owns the following lines indented
+    deeper than it; arms (``elif``, ``else``, ``except``, ...) at its
+    indent directly below continue it. ``def``/``class`` bodies are
+    skipped.
+    """
+    # One pass groups the code tokens by line: line k of the body is
+    # toks[firsts[k]:firsts[k + 1]].
+    i = bisect_left(toks, lo, key=_line_of)
+    n = len(toks)
+    firsts: List[int] = []
+    numbers: List[int] = []
+    last = -1
+    while i < n:
+        ln = toks[i].line
+        if ln != last:
+            if ln > hi:
+                break
+            firsts.append(i)
+            numbers.append(ln)
+            last = ln
+        i += 1
+    firsts.append(i)
+    m = len(numbers)
+    indents = [line_indent(lines[ln - 1]) for ln in numbers]
+    words = []
+    for k in range(m):
+        head = toks[firsts[k]]
+        words.append(head.text if head.kind is _KEYWORD else None)
+    # block_end[k]: the first later line indented no deeper than line k,
+    # so line k's block is lines k + 1 .. block_end[k] - 1.
+    block_end = [m] * m
+    open_lines: List[int] = []
+    for k, width in enumerate(indents):
+        while open_lines and indents[open_lines[-1]] >= width:
+            block_end[open_lines.pop()] = k
+        open_lines.append(k)
+
+    em = _Blocks()
+    names: Dict[str, int] = {}
+    # _SEQ frames: [type, cur tails, break, continue, next line, end line].
+    stack: list = [[_SEQ, [ENTRY], None, None, 0, m]]
+    tails: Optional[List[int]] = None
+    while True:
+        frame = stack[-1]
+        if tails is not None:
+            kind = frame[0]
+            if kind is _SEQ:
+                frame[1] = tails
+                tails = None
+            elif kind is _IF:
+                # [type, cond, break, continue, tails so far, elif lines,
+                #  next elif, else line or -1]
+                frame[4] += tails
+                pos = frame[6]
+                if pos < len(frame[5]):
+                    k = frame[5][pos]
+                    frame[6] = pos + 1
+                    cond = em.stmt([frame[1]], *_scan(
+                        toks, firsts[k], firsts[k + 1], names), True)
+                    frame[1] = cond
+                    stack.append([_SEQ, [cond], frame[2], frame[3],
+                                  k + 1, block_end[k]])
+                    tails = None
+                    continue
+                k = frame[7]
+                if k < 0:
+                    tails = frame[4] + [frame[1]]
+                    stack.pop()
+                    continue
+                frame[0] = _ELSE
+                stack.append([_SEQ, [frame[1]], frame[2], frame[3],
+                              k + 1, block_end[k]])
+                tails = None
+                continue
+            elif kind is _ELSE:
+                tails = frame[4] + tails
+                stack.pop()
+                continue
+            elif kind is _LOOP:
+                head = frame[1]
+                for tail in tails:
+                    em.edge(tail, head)
+                em.edge(head, frame[2])
+                tails = [em.start([], 0, 0, 0, False, frame[2])]
+                stack.pop()
+                continue
+            elif kind is _TRY:
+                # [type, head, break, continue, tails so far, handlers, next]
+                frame[4] += tails
+                pos = frame[6]
+                if pos < len(frame[5]):
+                    k = frame[5][pos]
+                    frame[6] = pos + 1
+                    stack.append([_SEQ, [frame[1]], frame[2], frame[3],
+                                  k + 1, block_end[k]])
+                    tails = None
+                    continue
+                tails = frame[4]
+                stack.pop()
+                continue
+            else:  # _ARMS (match): [type, head, join, continue, arms, next]
+                join = frame[2]
+                for tail in tails:
+                    em.edge(tail, join)
+                pos = frame[5]
+                if pos < len(frame[4]):
+                    frame[5] = pos + 1
+                    lo_k, hi_k = frame[4][pos]
+                    stack.append([_SEQ, [frame[1]], join, frame[3],
+                                  lo_k, hi_k])
+                    tails = None
+                    continue
+                em.edge(frame[1], join)
+                tails = [em.start([], 0, 0, 0, False, join)]
+                stack.pop()
+                continue
+
+        k = frame[4]
+        if k >= frame[5]:
+            tails = frame[1]
+            stack.pop()
+            if not stack:
+                break
+            continue
+        preds, brk, cont = frame[1], frame[2], frame[3]
+        word = words[k]
+        if word in _PY_BLOCKS:
+            body_end = block_end[k]
+            # Arms directly below the body at the header's indent.
+            arms = []
+            j = body_end
+            stop = frame[5]
+            width = indents[k]
+            while (j < stop and numbers[j] == numbers[j - 1] + 1
+                   and indents[j] == width and words[j] in _PY_ARMS):
+                arms.append(j)
+                j = block_end[j]
+            frame[4] = j
+            d, u, fl = _scan(toks, firsts[k], firsts[k + 1], names)
+            if word == "if":
+                # Each elif nests in the previous one's else; an else
+                # arm is the last if's else unless a later elif or else
+                # replaces it. Other arms are not lowered.
+                elifs = []
+                orelse = -1
+                for arm in arms:
+                    if words[arm] == "elif":
+                        elifs.append(arm)
+                        orelse = -1
+                    elif words[arm] == "else":
+                        orelse = arm
+                cond = em.stmt(preds, d, u, fl, True)
+                stack.append([_IF, cond, brk, cont, [], elifs, 0, orelse])
+                stack.append([_SEQ, [cond], brk, cont, k + 1, body_end])
+                continue
+            if word == "while" or word == "for":
+                head = em.start(preds, d, u, fl, True)
+                join = em.reserve()
+                stack.append([_LOOP, head, join])
+                stack.append([_SEQ, [head], join, head, k + 1, body_end])
+                continue
+            if word == "with":
+                node = em.stmt(preds, d, u, fl, False)
+                stack.append([_SEQ, [node], brk, cont, k + 1, body_end])
+                continue
+            # try / match: the except/finally/case arms before any elif
+            # are handlers (try) or cases (match).
+            handlers = []
+            for arm in arms:
+                if words[arm] == "elif":
+                    break
+                if words[arm] != "else":
+                    handlers.append(arm)
+            head = em.stmt(preds, d, u, fl, True)
+            if word == "try":
+                stack.append([_TRY, head, brk, cont, [], handlers, 0])
+                stack.append([_SEQ, [head], brk, cont, k + 1, body_end])
+                continue
+            cases = [(arm + 1, block_end[arm]) for arm in handlers]
+            if not cases:
+                cases = [(k + 1, body_end)]
+            join = em.reserve()
+            lo_k, hi_k = cases[0]
+            stack.append([_ARMS, head, join, cont, cases, 1])
+            stack.append([_SEQ, [head], join, cont, lo_k, hi_k])
+            continue
+        frame[4] = k + 1
+        if word == "return" or word == "raise":
+            d, u, fl = _scan(toks, firsts[k], firsts[k + 1], names)
+            em.edge(em.stmt(preds, d, u, fl, True), EXIT)
+            em.returns += 1
+            frame[1] = []
+        elif word == "break" or word == "continue":
+            target = brk if word == "break" else cont
+            em.edge(em.stmt(preds, 0, 0, 0, True),
+                    EXIT if target is None else target)
+            frame[1] = []
+        else:
+            if word == "def" or word == "class":
+                frame[4] = block_end[k]
+            d, u, fl = _scan(toks, firsts[k], firsts[k + 1], names)
+            frame[1] = [em.stmt(preds, d, u, fl, False)]
+    for tail in tails:
+        em.edge(tail, EXIT)
+    return em.close(names)
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
 
 
 def build_cfg(
     func: FunctionInfo,
     source: SourceFile,
-    tokens_by_line: Optional[dict] = None,
+    code_tokens: Optional[List[Token]] = None,
 ) -> CFG:
-    """Build the control-flow graph for one function.
+    """Build the block control-flow graph of one function.
 
-    Node ids are assigned by a per-build counter, so building the same
-    function twice yields structurally identical graphs — which is what
-    lets one CFG be shared between the control-flow and data-flow
+    ``code_tokens`` is the file's code-token list, which Python bodies
+    are read from (the analysis artifact passes its shared copy).
+    Building the same function twice yields identical graphs, which is
+    what lets one CFG be shared between the control-flow and data-flow
     analyzers without changing either's output.
     """
-    return _CFGBuilder().build(parse_statements(func, source, tokens_by_line))
+    if source.spec.function_style == "indent":
+        if code_tokens is None:
+            code_tokens = [t for t in source.tokens if t.is_code()]
+        return _lower_indent(code_tokens, source.lines,
+                             func.start_line + 1, func.end_line)
+    body = func.body_tokens
+    # ``body_tokens`` come from the parser already code-filtered; skip
+    # the enclosing braces if present.
+    if body and body[0].text == "{" and body[-1].text == "}":
+        return _lower_brace(body, 1, len(body) - 1)
+    return _lower_brace(body, 0, len(body))
 
 
 @dataclass(frozen=True)
@@ -719,7 +938,7 @@ def measure_codebase(codebase: Codebase, path_cap: int = 10**6) -> ControlFlowMe
             nodes += cfg.n_nodes
             edges += cfg.n_edges
             branches += cfg.n_branch_nodes
-            returns += cfg.kinds.count("return")
+            returns += cfg.n_returns
             paths = cfg.path_count(cap=path_cap)
             total_paths = min(path_cap, total_paths + paths)
             max_paths = max(max_paths, paths)

@@ -4,7 +4,8 @@
 properties of a program may further yield additional insights or
 accuracy." With no testbed to execute real programs, we approximate a
 tracer by random-walking each function's control-flow graph: entry to
-exit, uniform choice at branches, bounded steps. The walks yield the
+exit, statement by statement through the basic blocks, uniform choice
+at branches, bounded steps. The walks yield the
 classic dynamic-analysis aggregates — node/edge coverage, hot-path
 concentration, trace length, and how often dangerous calls actually
 *execute* (as opposed to merely existing, which the static features
@@ -21,11 +22,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.dataflow import TAINT_SINKS
+from repro.analysis.cfg import CFG, ENTRY, EXIT, SINK, build_cfg
 from repro.lang.parser import extract_functions
 from repro.lang.sourcefile import Codebase
-from repro.lang.tokens import TokenKind
 
 
 @dataclass(frozen=True)
@@ -41,25 +40,32 @@ class TraceResult:
     truncated_walks: int  # walks that hit the step cap (loops)
 
 
-def _node_is_dangerous(cfg: CFG, node: int) -> bool:
-    stmt = cfg.stmts[node]
-    if stmt is None:
-        return False
-    tokens = stmt.tokens
-    for i, tok in enumerate(tokens[:-1]):
-        if (
-            tok.kind == TokenKind.IDENT
-            and tok.text in TAINT_SINKS
-            and tokens[i + 1].text == "("
-        ):
-            return True
-    return False
+def _statement_succs(cfg: CFG) -> List[List[int]]:
+    """Statement-level successor lists of the block IR.
+
+    A statement inside a block has the next one as its only successor;
+    a block's last statement has the first statements of the block's
+    successors, in the block's successor order.
+    """
+    starts, ends = cfg.starts, cfg.ends
+    succs: List[List[int]] = [[] for _ in range(cfg.n_nodes)]
+    for block, out in enumerate(cfg.succs):
+        last = ends[block] - 1
+        for s in range(starts[block], last):
+            succs[s].append(s + 1)
+        succs[last] = [starts[succ] for succ in out]
+    return succs
 
 
 def simulate_cfg(
     cfg: CFG, n_walks: int = 20, max_steps: int = 200, seed: int = 0
 ) -> TraceResult:
-    """Random-walk ``cfg`` and aggregate the trace statistics."""
+    """Random-walk ``cfg`` statement by statement; aggregate the traces.
+
+    Every step draws its successor with ``rng.choice``, a one-element
+    list inside a block included, so walks, step caps and visit counts
+    are those of the statement-level graph.
+    """
     if n_walks < 1:
         raise ValueError("n_walks must be >= 1")
     rng = random.Random(seed)
@@ -69,19 +75,23 @@ def simulate_cfg(
     total_length = 0
     dangerous = 0
     truncated = 0
+    stmt_succs = _statement_succs(cfg)
+    entry = cfg.starts[ENTRY]
+    exit_node = cfg.starts[EXIT]
+    flags = cfg.facts[2]
     dangerous_nodes = {
-        node for node in range(cfg.n_nodes) if _node_is_dangerous(cfg, node)
+        node for node, fl in enumerate(flags) if fl & SINK
     }
 
     for _ in range(n_walks):
-        node = cfg.entry
+        node = entry
         steps = 0
-        while node != cfg.exit and steps < max_steps:
+        while node != exit_node and steps < max_steps:
             visited_nodes.add(node)
             visit_counts[node] = visit_counts.get(node, 0) + 1
             if node in dangerous_nodes:
                 dangerous += 1
-            successors = cfg.succs[node]
+            successors = stmt_succs[node]
             if not successors:
                 break
             nxt = rng.choice(successors)
@@ -91,7 +101,7 @@ def simulate_cfg(
         total_length += steps
         if steps >= max_steps:
             truncated += 1
-        if node == cfg.exit:
+        if node == exit_node:
             visited_nodes.add(node)
             visit_counts[node] = visit_counts.get(node, 0) + 1
 

@@ -257,7 +257,7 @@ def _cfg_record(cfgs) -> FileRecord:
         nodes += graph.n_nodes
         edges += graph.n_edges
         branches += graph.n_branch_nodes
-        returns += graph.kinds.count("return")
+        returns += graph.n_returns
         paths.append(graph.path_count(cap=_PATH_CAP))
         cyclomatics.append(graph.cyclomatic)
     return {"nodes": nodes, "edges": edges, "branches": branches,
@@ -274,40 +274,32 @@ def _collect_cfg_legacy(source: SourceFile) -> FileRecord:
     )
 
 
-def _collect_dataflow(source: SourceFile) -> FileRecord:
-    art = artifact_for(source)
+def _dataflow_record(graphs) -> FileRecord:
+    """``graphs`` yields (function, CFG) pairs."""
     n_defs = pairs = max_reach = 0
     sources = sinks = tainted = 0
-    for index, (func, graph) in enumerate(zip(art.functions, art.cfgs)):
-        info = art.node_info(index)
-        defs, _uses, du_pairs, reach = dataflow.rd_metrics(graph, info)
-        n_defs += defs
-        pairs += du_pairs
-        max_reach = max(max_reach, reach)
-        taint = dataflow.taint_analysis(graph, func.param_names, info)
-        sources += taint.source_sites
-        sinks += taint.sink_sites
-        tainted += taint.tainted_sink_calls
+    for func, graph in graphs:
+        counts = dataflow.flow_counts(graph, func.param_names)
+        n_defs += counts.defs
+        pairs += counts.def_use_pairs
+        max_reach = max(max_reach, counts.max_reaching)
+        sources += counts.source_sites
+        sinks += counts.sink_sites
+        tainted += counts.tainted_sink_calls
     return {"defs": n_defs, "pairs": pairs, "max_reaching": max_reach,
             "sources": sources, "sinks": sinks, "tainted": tainted}
+
+
+def _collect_dataflow(source: SourceFile) -> FileRecord:
+    art = artifact_for(source)
+    return _dataflow_record(zip(art.functions, art.cfgs))
 
 
 def _collect_dataflow_legacy(source: SourceFile) -> FileRecord:
-    n_defs = pairs = max_reach = 0
-    sources = sinks = tainted = 0
-    for func in extract_functions(source):
-        graph = cfg_mod.build_cfg(func, source)
-        info = dataflow.node_flow_info(graph)
-        defs, _uses, du_pairs, reach = dataflow.rd_metrics(graph, info)
-        n_defs += defs
-        pairs += du_pairs
-        max_reach = max(max_reach, reach)
-        taint = dataflow.taint_analysis(graph, func.param_names, info)
-        sources += taint.source_sites
-        sinks += taint.sink_sites
-        tainted += taint.tainted_sink_calls
-    return {"defs": n_defs, "pairs": pairs, "max_reaching": max_reach,
-            "sources": sources, "sinks": sinks, "tainted": tainted}
+    return _dataflow_record(
+        (func, cfg_mod.build_cfg(func, source))
+        for func in extract_functions(source)
+    )
 
 
 def _surface_record(surface) -> FileRecord:

@@ -271,28 +271,26 @@ def _extract_brace_classes(
 # ---------------------------------------------------------------------------
 
 
-def _line_indent(line: str) -> int:
-    """Indentation width of a line, tabs counted as 8 columns."""
+def line_indent(line: str) -> int:
+    """Indentation width of a line, tabs to the next multiple of 8."""
+    lead = len(line) - len(line.lstrip(" \t"))
+    if "\t" not in line[:lead]:
+        return lead
     width = 0
-    for ch in line:
-        if ch == " ":
-            width += 1
-        elif ch == "\t":
-            width += 8 - width % 8
-        else:
-            break
+    for ch in line[:lead]:
+        width = width + 1 if ch == " " else width + 8 - width % 8
     return width
 
 
 def _python_block_end(lines: List[str], header_line: int) -> int:
     """Last line (1-based) of the suite introduced at ``header_line``."""
-    indent = _line_indent(lines[header_line - 1])
+    indent = line_indent(lines[header_line - 1])
     end = header_line
     for idx in range(header_line + 1, len(lines) + 1):
         stripped = lines[idx - 1].strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if _line_indent(lines[idx - 1]) <= indent:
+        if line_indent(lines[idx - 1]) <= indent:
             break
         end = idx
     return end
@@ -323,11 +321,11 @@ def _extract_python_functions(
             if t.kind == TokenKind.IDENT and _is_python_param(tokens, i + 3, close, t)
         ]
         body = [t for t in tokens[close + 1 :] if tok.line <= t.line <= end_line]
-        base_indent = _line_indent(lines[tok.line - 1])
+        base_indent = line_indent(lines[tok.line - 1])
         deepest = 0
         for ln in range(tok.line + 1, end_line + 1):
             if lines[ln - 1].strip():
-                deepest = max(deepest, _line_indent(lines[ln - 1]) - base_indent)
+                deepest = max(deepest, line_indent(lines[ln - 1]) - base_indent)
         functions.append(
             FunctionInfo(
                 name=name_tok.text,

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.cfg import build_cfg
 from repro.analysis.dynamic import measure_codebase, simulate_cfg
 from repro.lang import Codebase, SourceFile, extract_functions
+from tests.analysis import cfg_reference as reference
 
 
 def cfg_of(text, path="t.c"):
@@ -94,3 +95,37 @@ class TestCodebaseMetrics:
         assert "dynamic.node_coverage" in row
         without = extract_features(cb, include_dynamic=False)
         assert "dynamic.node_coverage" not in without
+
+
+class TestStatementLevelReference:
+    """The block-IR walk is the statement-level walk, draw for draw."""
+
+    def test_walks_match_reference(self, mixed_codebase, small_corpus):
+        sources = list(mixed_codebase)
+        for app in small_corpus.apps[:4]:
+            sources.extend(app.codebase.files[:4])
+        walked = 0
+        for source in sources:
+            for func in extract_functions(source):
+                for seed in (0, 7, 12345):
+                    ir = simulate_cfg(build_cfg(func, source), n_walks=10,
+                                      max_steps=150, seed=seed)
+                    ref = simulate_cfg_reference(func, source, seed)
+                    assert ir == ref, (source.path, func.name, seed)
+                    walked += 1
+        assert walked > 50
+
+    def test_truncated_loops_match_reference(self):
+        source = SourceFile("t.c", LOOPY)
+        func = extract_functions(source)[0]
+        for seed in range(20):
+            ir = simulate_cfg(build_cfg(func, source), n_walks=5,
+                              max_steps=7, seed=seed)
+            assert ir == simulate_cfg_reference(func, source, seed,
+                                                n_walks=5, max_steps=7)
+
+
+def simulate_cfg_reference(func, source, seed, n_walks=10, max_steps=150):
+    return reference.simulate_cfg(reference.build_cfg(func, source),
+                                  n_walks=n_walks, max_steps=max_steps,
+                                  seed=seed)

@@ -3,9 +3,9 @@
 ``core.features`` disables Python's cyclic garbage collector for the
 length of one extraction unit (``_collector_paused``). That is only safe
 because extraction builds no reference cycles: every per-file object —
-tokens, statement trees, CFGs, function tables, flow-info sets, the
-analysis artifact itself — is freed by refcount the moment the caller
-drops the codebase. The first half of this module pins that; the second
+tokens, block CFGs and their flow facts, function tables, the analysis
+artifact itself — is freed by refcount the moment the caller drops the
+codebase. The first half of this module pins that; the second
 pins the pause's own semantics.
 """
 
@@ -31,8 +31,8 @@ GOLDEN_FILES = ("buffer.c", "widget.cpp", "Server.java", "app.py")
 #: Per-file analysis types that must never end up in cyclic garbage.
 #: ``cell`` catches recursive closures (a nested function that refers to
 #: itself keeps its frame's cells alive in a cycle).
-PER_FILE_TYPES = {"Token", "Stmt", "CFG", "FunctionInfo", "ClassInfo",
-                  "SourceFile", "FileArtifact", "NodeFlowInfo", "cell"}
+PER_FILE_TYPES = {"Token", "CFG", "_Blocks", "FunctionInfo", "ClassInfo",
+                  "SourceFile", "FileArtifact", "cell"}
 
 
 @pytest.fixture

@@ -2,24 +2,30 @@
 
 A hypothesis grammar emits random-but-valid C-like and Python function
 bodies; the structural parser, CFG builder, and dataflow analyses must
-uphold their invariants on every one of them.
+uphold their invariants on every one of them. The statement-level
+invariants are checked on the reference in
+``tests/analysis/cfg_reference.py``; each property has an ``_ir`` twin
+that checks the product's block IR gives the same record fields on the
+same bodies.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cfg import build_cfg
+from repro.analysis import cfg as ir
+from repro.analysis import dataflow
 from repro.analysis.cyclomatic import function_complexity
-from repro.analysis.dataflow import (
-    TAINT_SINKS,
-    TAINT_SOURCES,
+from repro.analysis.dataflow import TAINT_SINKS, TAINT_SOURCES
+from repro.lang import SourceFile, extract_functions
+from tests.analysis.cfg_reference import (
+    assert_ir_matches_reference,
+    build_cfg,
     node_flow_info,
     rd_metrics,
     reaching_definitions,
     taint_analysis,
 )
-from repro.lang import SourceFile, extract_functions
 
 # -- random structured-program generator -------------------------------------
 
@@ -111,6 +117,12 @@ def test_cfg_structural_invariants(text):
 
 @settings(max_examples=120, deadline=None)
 @given(c_functions())
+def test_cfg_structural_invariants_ir(text):
+    assert_ir_matches_reference(text, "t.c")
+
+
+@settings(max_examples=120, deadline=None)
+@given(c_functions())
 def test_cfg_cyclomatic_lower_bound(text):
     fn, src, cfg = _function_and_cfg(text)
     # Graph cyclomatic >= 1 and within the token count's neighbourhood.
@@ -119,11 +131,30 @@ def test_cfg_cyclomatic_lower_bound(text):
     assert abs(cfg.cyclomatic - token_cc) <= token_cc  # same magnitude
 
 
+@settings(max_examples=120, deadline=None)
+@given(c_functions())
+def test_cfg_cyclomatic_lower_bound_ir(text):
+    fn, src, _ = _function_and_cfg(text)
+    cfg = ir.build_cfg(fn, src)
+    assert cfg.cyclomatic >= 1
+    token_cc = function_complexity(fn, src)
+    assert abs(cfg.cyclomatic - token_cc) <= token_cc
+    assert_ir_matches_reference(text, "t.c")
+
+
 @settings(max_examples=100, deadline=None)
 @given(c_functions())
 def test_path_count_at_least_one(text):
     _, _, cfg = _function_and_cfg(text)
     assert cfg.path_count() >= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(c_functions())
+def test_path_count_at_least_one_ir(text):
+    fn, src, _ = _function_and_cfg(text)
+    assert ir.build_cfg(fn, src).path_count() >= 1
+    assert_ir_matches_reference(text, "t.c")
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,12 +170,30 @@ def test_reaching_definitions_terminates_and_is_sound(text):
 
 @settings(max_examples=100, deadline=None)
 @given(c_functions())
+def test_reaching_definitions_terminates_and_is_sound_ir(text):
+    assert_ir_matches_reference(text, "t.c")
+
+
+@settings(max_examples=100, deadline=None)
+@given(c_functions())
 def test_taint_monotone_in_seed_params(text):
     fn, src, cfg = _function_and_cfg(text)
     none = taint_analysis(cfg, [])
     all_params = taint_analysis(cfg, fn.param_names)
     assert none.tainted_sink_calls <= all_params.tainted_sink_calls
     assert none.tainted_vars <= all_params.tainted_vars | set(fn.param_names)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c_functions())
+def test_taint_monotone_in_seed_params_ir(text):
+    fn, src, _ = _function_and_cfg(text)
+    cfg = ir.build_cfg(fn, src)
+    none = dataflow.taint_analysis(cfg, [])
+    all_params = dataflow.taint_analysis(cfg, fn.param_names)
+    assert none.tainted_sink_calls <= all_params.tainted_sink_calls
+    assert none.tainted_vars <= all_params.tainted_vars | set(fn.param_names)
+    assert_ir_matches_reference(text, "t.c")
 
 
 @st.composite
@@ -178,6 +227,12 @@ def test_python_cfg_invariants(text):
     assert cfg.succs[cfg.exit] == []
     assert cfg.path_count() >= 1
     reaching_definitions(cfg)  # must terminate without raising
+
+
+@settings(max_examples=100, deadline=None)
+@given(py_functions())
+def test_python_cfg_invariants_ir(text):
+    assert_ir_matches_reference(text, "t.py")
 
 
 # -- differential: bitset fixpoints vs set-based reference worklists ---------
@@ -358,10 +413,32 @@ def _assert_fixpoints_match_reference(text, path):
                     cfg, params, info), (text, params)
 
 
+def _assert_ir_matches_set_reference(text, path):
+    """The block fixpoints agree with the naive set sweeps."""
+    fn, src, cfg = _function_and_cfg(text, path)
+    info = node_flow_info(cfg)
+    graph = ir.build_cfg(fn, src)
+    for params in (fn.param_names, []):
+        counts = dataflow.flow_counts(graph, params)
+        assert (counts.defs, counts.uses, counts.def_use_pairs,
+                counts.max_reaching) == reference_rd_metrics(cfg, info)
+        taint = dataflow.taint_analysis(graph, params)
+        assert (taint.tainted_vars, taint.tainted_sink_calls,
+                taint.source_sites, taint.sink_sites) == reference_taint(
+                    cfg, params, info), (text, params)
+    assert_ir_matches_reference(text, path)
+
+
 @settings(max_examples=150, deadline=None)
 @given(c_flow_functions())
 def test_c_fixpoints_match_set_reference(text):
     _assert_fixpoints_match_reference(text, "t.c")
+
+
+@settings(max_examples=150, deadline=None)
+@given(c_flow_functions())
+def test_c_fixpoints_match_set_reference_ir(text):
+    _assert_ir_matches_set_reference(text, "t.c")
 
 
 @settings(max_examples=100, deadline=None)
@@ -370,16 +447,31 @@ def test_python_fixpoints_match_set_reference(text):
     _assert_fixpoints_match_reference(text, "t.py")
 
 
-@pytest.mark.parametrize("text", [
+@settings(max_examples=100, deadline=None)
+@given(py_flow_functions())
+def test_python_fixpoints_match_set_reference_ir(text):
+    _assert_ir_matches_set_reference(text, "t.py")
+
+
+#: Named flow shapes, for the parametrized cases below.
+NAMED_SHAPES = [
     "int f(int x) {\nwhile (x);\nreturn x;\n}",
     "int f(int x) {\ntop: x = x - 1;\nif (x) goto top;\nreturn x;\n}",
     "int f(int x) {\nreturn x;\nx = 2;\nreturn x;\n}",
     "int f(int x) {\nint y = 0;\nswitch (x) {\ncase 1: y = 1;\n"
     "case 2: y = y + x; break;\ndefault: y = 3;\n}\nreturn y;\n}",
     "int f(int x) {\nif (x) { }\nreturn x;\n}",
-])
+]
+
+
+@pytest.mark.parametrize("text", NAMED_SHAPES)
 def test_named_flow_shapes_match_set_reference(text):
     _assert_fixpoints_match_reference(text, "t.c")
+
+
+@pytest.mark.parametrize("text", NAMED_SHAPES)
+def test_named_flow_shapes_match_set_reference_ir(text):
+    _assert_ir_matches_set_reference(text, "t.c")
 
 
 def test_self_loop_is_one_edge():
@@ -387,6 +479,14 @@ def test_self_loop_is_one_edge():
     (head,) = [n for n, k in enumerate(cfg.kinds) if k == "loop"]
     assert cfg.succs[head].count(head) == 1
     assert cfg.preds[head].count(head) == 1
+
+
+def test_self_loop_is_one_edge_ir():
+    text = "int f(int x) {\nwhile (x);\nreturn x;\n}"
+    fn, src, _ = _function_and_cfg(text)
+    graph = ir.build_cfg(fn, src)
+    assert sum(out.count(b) for b, out in enumerate(graph.succs)) == 1
+    assert_ir_matches_reference(text, "t.c")
 
 
 def test_empty_if_duplicate_edge_counted_once():
@@ -399,3 +499,12 @@ def test_empty_if_duplicate_edge_counted_once():
     # entry -> branch, branch -> return, return -> exit.
     assert cfg.n_edges == 3
     assert cfg.cyclomatic == 1
+
+
+def test_empty_if_duplicate_edge_counted_once_ir():
+    text = "int f(int x) {\nif (x) { }\nreturn x;\n}"
+    fn, src, _ = _function_and_cfg(text)
+    graph = ir.build_cfg(fn, src)
+    assert graph.n_edges == 3
+    assert graph.cyclomatic == 1
+    assert_ir_matches_reference(text, "t.c")

@@ -6,7 +6,11 @@ and weird encodings. Every analyzer — and the full feature extraction —
 must degrade gracefully (finite numbers, no exceptions) on all of it.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -35,11 +39,60 @@ def _corrupt(text: str, mode: str, seed: int) -> str:
         lines = text.splitlines()
         rng.shuffle(lines)
         return "\n".join(lines)
+    if mode == "stray_closers":
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randint(0, len(text))
+            text = text[:pos] + rng.choice(")]") + text[pos:]
+        return text
     raise ValueError(mode)
 
 
 MODES = ("truncate", "drop_braces", "extra_braces", "binary_noise",
          "shuffle_lines")
+
+#: Modes that once hung extraction; they run in a child process with a
+#: wall-clock bound, so a regression fails instead of hanging the suite.
+BOUNDED_MODES = ("stray_closers",)
+
+#: Wall-clock bound, in seconds, for one bounded child run. Each input
+#: below finishes in under 3 s, interpreter start included, on a 2-core
+#: host; the bound only has to catch hangs and super-linear blowups.
+WALL_BOUND_S = 60
+
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+#: Child process: read {path: text} as JSON on stdin, extract features
+#: and run every checker over it, and report the row's finiteness.
+_CHILD = """
+import json, math, sys
+from repro.bugfind import run_all
+from repro.core.features import extract_features, file_record
+from repro.lang import Codebase, SourceFile
+sources = json.load(sys.stdin)
+if len(sources) == 1:
+    ((path, text),) = sources.items()
+    file_record(SourceFile(path, text))
+row = extract_features(Codebase.from_sources("bounded", sources))
+run_all(Codebase.from_sources("bounded", sources))
+assert all(math.isfinite(v) for v in row.values())
+print("ok")
+"""
+
+
+def _run_bounded(sources):
+    """Extract ``sources`` in a child process under :data:`WALL_BOUND_S`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(_REPO_ROOT, "src"), env.get("PYTHONPATH", "")])
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", _CHILD], input=json.dumps(sources),
+            capture_output=True, text=True, timeout=WALL_BOUND_S, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"extraction did not finish within {WALL_BOUND_S} s")
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "ok"
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +121,18 @@ class TestCorruptedCorpusFiles:
             for i, (path, text) in enumerate(sorted(donor_sources.items()))
         }
         run_all(Codebase.from_sources("corrupted", corrupted))
+
+    @pytest.mark.parametrize("mode", BOUNDED_MODES)
+    def test_bounded_modes_finish(self, donor_sources, mode):
+        corrupted = {
+            path: _corrupt(text, mode, seed=i)
+            for i, (path, text) in enumerate(sorted(donor_sources.items()))
+        }
+        _run_bounded(corrupted)
+
+    def test_stray_paren_in_statement_finishes(self):
+        # Once made the statement parser loop forever while allocating.
+        _run_bounded({"a.c": "int f(int a) { a = b); return a; }\n"})
 
     def test_single_brace_file(self):
         row = extract_features(Codebase.from_sources("b", {"a.c": "}\n"}))
@@ -100,3 +165,24 @@ def test_feature_extraction_on_arbitrary_text(text, ext):
     codebase = Codebase.from_sources("fuzz", {f"f{ext}": text})
     row = extract_features(codebase)
     assert all(math.isfinite(v) for v in row.values())
+
+
+#: Hostile nesting: each input must finish ``file_record`` and a full
+#: extraction under the wall bound, with no ``RecursionError``.
+HOSTILE_NESTING = {
+    "c_nested_if": ("a.c", "int f(int a) {\n" + "if (a) {\n" * 10_000
+                    + "}\n" * 10_000 + "return a;\n}\n"),
+    "c_unclosed_functions": ("a.c", "int f(){" * 10_000),
+    "java_nested_while": ("A.java", "class A {\n  int f(int a) {\n"
+                          + "while (a > 0) {\n" * 10_000 + "}\n" * 10_000
+                          + "    return a;\n  }\n}\n"),
+    "python_deep_indent": ("a.py", "def f(a):\n" + "".join(
+        " " * (level + 1) + "if a:\n" for level in range(3_000))
+        + " " * 3_001 + "return a\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_NESTING))
+def test_hostile_nesting_finishes(name):
+    path, text = HOSTILE_NESTING[name]
+    _run_bounded({path: text})
