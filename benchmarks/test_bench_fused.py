@@ -1,21 +1,14 @@
-"""Fused-vs-legacy extraction benchmark over a 120-file tree.
+"""Single-parse extraction benchmark over a 120-file tree.
 
-The single-parse artifact refactor replaces an architecture in which
-every analyzer re-derived its own views — re-lexing, re-extracting the
-function table, and re-building CFGs per file, independently. This
-benchmark measures the fused path against that architecture two ways:
+``file_record`` runs every per-file collector over one SourceFile, so
+the file is lexed and parsed once and every analyzer shares the token
+list, function and class tables, CFGs and call sites. The independent
+side (the gate's reference) runs each collector on its own fresh
+``SourceFile`` copies, the way the analyzers behave when driven one at
+a time (standalone bugfind tools, analysis CLIs): every analyzer pays
+its own lex and parse.
 
-- **independent legacy** (the gate): each legacy collector runs on its
-  own fresh ``SourceFile`` copies, the way the pre-artifact analyzers
-  behave when driven individually (standalone bugfind tools, analysis
-  CLIs, serve endpoints). Every analyzer pays its own lex + parse.
-- **shared legacy** (informational): all legacy collectors run inside
-  one ``file_record_legacy`` pass per file, where the memoized token
-  stream is shared and only the function tables / CFGs / scans are
-  re-derived. This is the tighter in-engine comparison; its smaller
-  ratio is printed in the same table, not hidden.
-
-Both paths' records are asserted equal first — speed on different
+Both sides' records are asserted equal first — speed on different
 answers would be meaningless. Timings land in ``BENCH_run.json`` via
 ``analyzer_recorder`` so ``scripts/bench_compare.py`` can track them.
 """
@@ -27,20 +20,15 @@ import time
 import pytest
 
 from repro import obs
-from repro.core.features import (
-    LEGACY_PER_FILE_COLLECTORS,
-    _PER_FILE_COLLECTORS,
-    file_record,
-    file_record_legacy,
-)
+from repro.core.features import _PER_FILE_COLLECTORS, file_record
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.synth import build_corpus
 
 N_FILES = 120
-#: Required cold-extraction speedup of the fused single-parse path over
-#: the independent legacy analyzers. Measured headroom is ~2x beyond
-#: this, so a noisy shared runner cannot flap the gate; the engine-level
-#: claim (>=3x on bench_engine vs the committed baseline) is checked by
+#: Required cold-extraction speedup of the single-parse path over the
+#: independent per-collector runs. Measured headroom is ~2x beyond this,
+#: so a noisy shared runner cannot flap the gate; the engine-level claim
+#: (>=3x on bench_engine vs the committed baseline) is checked by
 #: scripts/bench_compare.py.
 MIN_SPEEDUP = 2.0
 
@@ -87,64 +75,57 @@ def _per_analyzer_fused(codebase):
     return timings
 
 
-def _per_analyzer_legacy(codebase):
-    """Independent legacy timings: fresh sources per analyzer.
+def _per_analyzer_independent(codebase):
+    """Independent timings and records: fresh sources per collector.
 
     Fresh ``SourceFile`` copies per collector mean each analyzer re-lexes
-    and re-derives everything itself — the pre-artifact architecture this
-    PR's tentpole replaces, and the column sum the headline gate uses.
+    and re-derives every view itself; the column sum is what the gate
+    compares against.
     """
     timings = {}
-    for _, key, collect in LEGACY_PER_FILE_COLLECTORS:
+    records = [{} for _ in codebase.files]
+    for _, key, collect in _PER_FILE_COLLECTORS:
         sources = _fresh(codebase)
         start = time.perf_counter()
-        for source in sources:
-            collect(source)
+        for record, source in zip(records, sources):
+            record[key] = collect(source)
         timings[key] = time.perf_counter() - start
-    return timings
+    return timings, records
 
 
 def test_bench_fused_vs_legacy(bench_tree, table_printer,
                                analyzer_recorder):
     obs.disable()
 
-    # Same answers, or the comparison is void. Also times the shared
-    # (file-major) variants of both paths while doing so.
-    shared_legacy_s, legacy_records = _timed_records(
-        _fresh(bench_tree), file_record_legacy
-    )
     fused_s, fused_records = _timed_records(_fresh(bench_tree), file_record)
-    assert [repr(r) for r in fused_records] == [
-        repr(r) for r in legacy_records
-    ]
-
     fused_by = _per_analyzer_fused(bench_tree)
-    legacy_by = _per_analyzer_legacy(bench_tree)
+    independent_by, independent_records = _per_analyzer_independent(bench_tree)
+    # Same answers, or the comparison is void.
+    assert [repr(r) for r in fused_records] == [
+        repr(r) for r in independent_records
+    ]
     analyzer_recorder(fused_by, label="fused")
-    analyzer_recorder(legacy_by, label="legacy")
-    legacy_s = sum(legacy_by.values())
+    analyzer_recorder(independent_by, label="independent")
+    independent_s = sum(independent_by.values())
     fused_cold_s = sum(fused_by.values())
 
     rows = []
     for key in fused_by:
-        ratio = (legacy_by[key] / fused_by[key]
+        ratio = (independent_by[key] / fused_by[key]
                  if fused_by[key] > 0 else float("inf"))
-        rows.append((key, f"{legacy_by[key]:7.3f}", f"{fused_by[key]:7.3f}",
+        rows.append((key, f"{independent_by[key]:7.3f}", f"{fused_by[key]:7.3f}",
                      f"{ratio:5.2f}x"))
-    rows.append(("TOTAL (independent)", f"{legacy_s:7.3f}",
+    rows.append(("TOTAL (independent)", f"{independent_s:7.3f}",
                  f"{fused_cold_s:7.3f}",
-                 f"{legacy_s / fused_cold_s:5.2f}x"))
-    rows.append(("TOTAL (file-major, shared tokens)",
-                 f"{shared_legacy_s:7.3f}", f"{fused_s:7.3f}",
-                 f"{shared_legacy_s / fused_s:5.2f}x"))
+                 f"{independent_s / fused_cold_s:5.2f}x"))
     table_printer(
-        f"fused vs legacy extraction — {len(bench_tree)} files",
-        ("analyzer", "legacy(s)", "fused(s)", "speedup"),
+        f"single-parse vs independent extraction — {len(bench_tree)} files",
+        ("analyzer", "independent(s)", "shared(s)", "speedup"),
         rows,
     )
 
-    assert fused_s * MIN_SPEEDUP <= legacy_s, (
-        f"fused cold extraction {fused_s:.3f}s is not {MIN_SPEEDUP:.0f}x "
-        f"faster than the independent legacy analyzers {legacy_s:.3f}s "
-        f"({legacy_s / fused_s:.2f}x)"
+    assert fused_s * MIN_SPEEDUP <= independent_s, (
+        f"single-parse cold extraction {fused_s:.3f}s is not "
+        f"{MIN_SPEEDUP:.0f}x faster than the independent per-collector "
+        f"runs {independent_s:.3f}s ({independent_s / fused_s:.2f}x)"
     )

@@ -14,9 +14,9 @@ present on only one side are reported but never fail the comparison
 (new benchmarks have no baseline; removed ones have no run).
 
 Per-analyzer timings (the ``analyzers`` section ``analyzer_recorder``
-writes, e.g. the fused-vs-legacy breakdown from ``test_bench_fused``)
-are compared the same way under their own, looser knobs
-(``--analyzer-tolerance`` / ``--analyzer-min-seconds``): a single
+writes, e.g. the shared-vs-independent breakdown from
+``test_bench_fused``) are compared the same way under their own, looser
+knobs (``--analyzer-tolerance`` / ``--analyzer-min-seconds``): a single
 analyzer's column is tens of milliseconds, so it needs a wider relative
 band and a lower absolute floor than whole benchmarks to catch a real
 per-analyzer regression without flapping on scheduler jitter.

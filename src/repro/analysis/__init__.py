@@ -30,7 +30,7 @@ from repro.analysis import (
     oo,
     smells,
 )
-from repro.analysis.artifact import FileArtifact, artifact_for, artifacts_for
+from repro.analysis.artifact import FileArtifact, artifact_for
 from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.churn import Commit, CommitHistory, FileDelta
 from repro.analysis.cyclomatic import codebase_complexity, file_complexity
@@ -48,7 +48,6 @@ __all__ = [
     "LineCounts",
     "artifact",
     "artifact_for",
-    "artifacts_for",
     "build_cfg",
     "callgraph",
     "cfg",

@@ -1,21 +1,16 @@
 """Single-parse analysis artifact: lex and parse each file exactly once.
 
-Before this module existed, every analyzer re-derived its own view of a
-file: the function table was extracted up to a dozen times per file
-(cyclomatic twice, functions, control flow, data flow, three smell
-detectors, the call graph, the OO metrics, the attack-surface scan), each
-function's CFG was built twice (control flow and data flow), and almost
-every analyzer re-filtered the token stream down to code tokens.
-
-A :class:`FileArtifact` computes each of those views once, lazily, and
-caches it on the :class:`~repro.lang.sourcefile.SourceFile` itself (via
-:func:`artifact_for`), so whichever analyzer asks first pays and everyone
-after shares. The contract is strict byte-identity: every cached view is
-produced by exactly the code the analyzers previously called themselves
-(same functions, same argument order), so analyzer outputs — feature rows,
-``file_record`` dicts, cached digests — are bit-for-bit unchanged. The
-differential harness in ``tests/analysis/test_fused_equivalence.py``
-enforces this against the preserved legacy collectors.
+Every per-file analyzer takes a :class:`~repro.lang.sourcefile.SourceFile`
+and nothing else. The views it needs come from one place: the code-token
+list is ``SourceFile.code_tokens`` (cached next to ``tokens`` and
+``lines``), and the function table, class table, CFGs and call-site
+index come from the file's :class:`FileArtifact` (:func:`artifact_for`).
+Each view is computed once, lazily, by whichever analyzer asks first,
+and every analyzer after it shares it. There is no second derivation:
+an analyzer run on a fresh SourceFile computes the same views the same
+way, and ``tests/analysis/test_fused_equivalence.py`` holds
+``file_record`` to that reference, each collector on its own fresh copy
+of the file.
 
 Sharing notes (why reuse cannot change results):
 
@@ -44,7 +39,7 @@ Sharing notes (why reuse cannot change results):
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.cfg import CFG, build_cfg
 from repro.lang.parser import (
@@ -53,7 +48,7 @@ from repro.lang.parser import (
     extract_classes,
     extract_functions,
 )
-from repro.lang.sourcefile import Codebase, SourceFile
+from repro.lang.sourcefile import SourceFile
 from repro.lang.tokens import Token, TokenKind
 
 
@@ -63,7 +58,6 @@ class FileArtifact:
     __slots__ = (
         "path",
         "_source_ref",
-        "_code_tokens",
         "_functions",
         "_classes",
         "_cfgs",
@@ -73,7 +67,6 @@ class FileArtifact:
     def __init__(self, source: SourceFile):
         self.path = source.path
         self._source_ref = weakref.ref(source)
-        self._code_tokens: Optional[List[Token]] = None
         self._functions: Optional[List[FunctionInfo]] = None
         self._classes: Optional[List[ClassInfo]] = None
         self._cfgs: Optional[List[CFG]] = None
@@ -97,16 +90,9 @@ class FileArtifact:
         return self.source.tokens
 
     @property
-    def lines(self) -> List[str]:
-        """Physical lines (cached by the SourceFile)."""
-        return self.source.lines
-
-    @property
     def code_tokens(self) -> List[Token]:
-        """Tokens with comments/newlines filtered out."""
-        if self._code_tokens is None:
-            self._code_tokens = [t for t in self.source.tokens if t.is_code()]
-        return self._code_tokens
+        """Tokens with comments/newlines filtered out (cached by the SourceFile)."""
+        return self.source.code_tokens
 
     # -- structural views -------------------------------------------------
 
@@ -114,16 +100,14 @@ class FileArtifact:
     def functions(self) -> List[FunctionInfo]:
         """The file's function table, extracted once."""
         if self._functions is None:
-            self._functions = extract_functions(self.source, self.code_tokens)
+            self._functions = extract_functions(self.source)
         return self._functions
 
     @property
     def classes(self) -> List[ClassInfo]:
         """The file's class table, matched against the shared functions."""
         if self._classes is None:
-            self._classes = extract_classes(
-                self.source, self.code_tokens, self.functions
-            )
+            self._classes = extract_classes(self.source, self.functions)
         return self._classes
 
     @property
@@ -131,20 +115,14 @@ class FileArtifact:
         """One CFG per entry of :attr:`functions`, index-aligned."""
         if self._cfgs is None:
             source = self.source
-            code_tokens = self.code_tokens
-            self._cfgs = [
-                build_cfg(func, source, code_tokens) for func in self.functions
-            ]
+            self._cfgs = [build_cfg(func, source) for func in self.functions]
         return self._cfgs
 
     @property
     def call_sites(self) -> List[int]:
         """Indices into :attr:`code_tokens` of call sites (ident + ``(``).
 
-        The shared symbol index the bug-finding checkers scan: computed
-        with exactly the predicate ``c_checkers._call_sites`` uses, so a
-        checker receiving this list sees the same indices it would have
-        derived itself.
+        The shared symbol index the C/C++ bug-finding checkers scan.
         """
         if self._call_sites is None:
             toks = self.code_tokens
@@ -163,10 +141,6 @@ class FileArtifact:
         The lowering scans them while it builds the CFG (``CFG.facts``).
         """
         return self.cfgs[index].facts
-
-    def function_cfgs(self) -> List[Tuple[FunctionInfo, CFG]]:
-        """(function, cfg) pairs in function-table order."""
-        return list(zip(self.functions, self.cfgs))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FileArtifact({self.path!r})"
@@ -188,7 +162,3 @@ def artifact_for(source: SourceFile) -> FileArtifact:
         artifact = source._artifact = FileArtifact(source)
     return artifact
 
-
-def artifacts_for(codebase: Codebase) -> Dict[str, FileArtifact]:
-    """Artifacts for every file in ``codebase``, keyed by path."""
-    return {f.path: artifact_for(f) for f in codebase.files}

@@ -16,20 +16,19 @@ without lexing or parsing any unchanged file.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 import networkx as nx
 
 from repro.analysis.artifact import artifact_for
-from repro.lang.parser import FunctionInfo
-from repro.lang.sourcefile import Codebase
+from repro.lang.sourcefile import Codebase, SourceFile
 from repro.lang.tokens import TokenKind
 
 #: Conventional program entry points per language.
 ENTRY_POINT_NAMES = frozenset({"main", "__main__", "run", "start"})
 
 
-def file_facts(functions: Sequence[FunctionInfo]) -> List[list]:
+def file_facts(source: SourceFile) -> List[list]:
     """The call-graph facts of one file's function table.
 
     One ``[name, public, params, {callee: count}]`` entry per function,
@@ -41,7 +40,7 @@ def file_facts(functions: Sequence[FunctionInfo]) -> List[list]:
     file's tokens again.
     """
     facts: List[list] = []
-    for func in functions:
+    for func in artifact_for(source).functions:
         name = func.name
         calls: Dict[str, int] = {}
         tokens = func.body_tokens  # already code-filtered by the parser
@@ -91,8 +90,7 @@ def graph_from_facts(files: Iterable[Tuple[str, List[list]]]) -> nx.DiGraph:
 
 def codebase_facts(codebase: Codebase) -> List[Tuple[str, List[list]]]:
     """``(path, file_facts)`` for every file, in path order."""
-    return [(source.path, file_facts(artifact_for(source).functions))
-            for source in codebase]
+    return [(source.path, file_facts(source)) for source in codebase]
 
 
 def build_callgraph(codebase: Codebase) -> nx.DiGraph:

@@ -35,7 +35,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lang.parser import FunctionInfo, extract_functions, line_indent
+from repro.lang.parser import FunctionInfo, line_indent
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.lang.tokens import Token, TokenKind
 
@@ -887,23 +887,16 @@ def _lower_indent(toks: Sequence[Token], lines: List[str], lo: int,
 # ---------------------------------------------------------------------------
 
 
-def build_cfg(
-    func: FunctionInfo,
-    source: SourceFile,
-    code_tokens: Optional[List[Token]] = None,
-) -> CFG:
+def build_cfg(func: FunctionInfo, source: SourceFile) -> CFG:
     """Build the block control-flow graph of one function.
 
-    ``code_tokens`` is the file's code-token list, which Python bodies
-    are read from (the analysis artifact passes its shared copy).
-    Building the same function twice yields identical graphs, which is
-    what lets one CFG be shared between the control-flow and data-flow
-    analyzers without changing either's output.
+    Python bodies are read from the file's code-token list. Building the
+    same function twice yields identical graphs, which is what lets one
+    CFG be shared between the control-flow and data-flow analyzers
+    without changing either's output.
     """
     if source.spec.function_style == "indent":
-        if code_tokens is None:
-            code_tokens = [t for t in source.tokens if t.is_code()]
-        return _lower_indent(code_tokens, source.lines,
+        return _lower_indent(source.code_tokens, source.lines,
                              func.start_line + 1, func.end_line)
     body = func.body_tokens
     # ``body_tokens`` come from the parser already code-filtered; skip
@@ -928,13 +921,15 @@ class ControlFlowMetrics:
 
 def measure_codebase(codebase: Codebase, path_cap: int = 10**6) -> ControlFlowMetrics:
     """Aggregate CFG metrics across every function in ``codebase``."""
+    # The artifact module builds on this one, so import it at call time.
+    from repro.analysis.artifact import artifact_for
+
     nodes = edges = branches = returns = 0
     total_paths = 0
     max_paths = 0
     cyclomatics: List[int] = []
     for source in codebase:
-        for func in extract_functions(source):
-            cfg = build_cfg(func, source)
+        for cfg in artifact_for(source).cfgs:
             nodes += cfg.n_nodes
             edges += cfg.n_edges
             branches += cfg.n_branch_nodes

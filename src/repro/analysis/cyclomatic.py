@@ -12,9 +12,10 @@ the same whole-program figure the paper plots in Figure 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.lang.parser import FunctionInfo, extract_functions
+from repro.analysis.artifact import artifact_for
+from repro.lang.parser import FunctionInfo
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.lang.tokens import Token, TokenKind
 
@@ -50,26 +51,30 @@ def function_complexity(func: FunctionInfo, source: SourceFile) -> int:
 
 def file_complexities(source: SourceFile) -> List[ComplexityReport]:
     """Per-function complexity reports for a file, in source order."""
-    reports = [
-        ComplexityReport(f.name, f.start_line, function_complexity(f, source))
-        for f in extract_functions(source)
-    ]
-    reports.sort(key=lambda r: r.start_line)
-    return reports
+    return file_summary(source)[1]
 
 
-def _stray_decisions(
-    source: SourceFile,
-    covered: List[Tuple[int, int]],
-    code_tokens: Optional[List[Token]] = None,
-) -> int:
-    """Decision tokens on lines outside every covered (start, end) range."""
-    tokens = source.tokens if code_tokens is None else code_tokens
+def _stray_decisions(source: SourceFile, functions: List[FunctionInfo]) -> int:
+    """Decision tokens on lines outside every function's line extent.
+
+    The extents are merged into disjoint ranges in start order. Tokens
+    come in line order too, so one cursor walks the ranges alongside the
+    tokens instead of testing each token against every function.
+    """
+    starts: List[int] = []
+    ends: List[int] = []
+    for lo, hi in sorted((f.start_line, f.end_line) for f in functions):
+        if ends and lo <= ends[-1]:
+            ends[-1] = max(ends[-1], hi)
+        else:
+            starts.append(lo)
+            ends.append(hi)
     decision_tokens = source.spec.decision_tokens
-    stray = 0
+    stray = k = 0
+    n_ranges = len(ends)
     keyword = TokenKind.KEYWORD
     operator = TokenKind.OPERATOR
-    for tok in tokens:
+    for tok in source.code_tokens:
         # KEYWORD/OPERATOR tokens are code by definition (see
         # ``decision_count``).
         kind = tok.kind
@@ -77,7 +82,10 @@ def _stray_decisions(
             continue
         if tok.text not in decision_tokens:
             continue
-        if any(lo <= tok.line <= hi for lo, hi in covered):
+        line = tok.line
+        while k < n_ranges and ends[k] < line:
+            k += 1
+        if k < n_ranges and starts[k] <= line:
             continue
         stray += 1
     return stray
@@ -89,34 +97,19 @@ def file_complexity(source: SourceFile) -> int:
     Decision tokens outside any recovered function (e.g. top-level Python
     code, macros) are counted once more so they are not silently dropped.
     """
-    functions = extract_functions(source)
-    covered = [(f.start_line, f.end_line) for f in functions]
-    total = sum(function_complexity(f, source) for f in functions)
-    return total + _stray_decisions(source, covered)
+    return file_summary(source)[0]
 
 
-def file_summary(
-    source: SourceFile,
-    functions: Optional[List[FunctionInfo]] = None,
-    code_tokens: Optional[List[Token]] = None,
-) -> Tuple[int, List[ComplexityReport]]:
-    """(file total, per-function reports) computing each complexity once.
-
-    Equivalent to ``(file_complexity(source), file_complexities(source))``
-    but shares one function extraction and one complexity pass between the
-    two; ``functions``/``code_tokens`` let the analysis artifact supply its
-    cached views.
-    """
-    if functions is None:
-        functions = extract_functions(source)
+def file_summary(source: SourceFile) -> Tuple[int, List[ComplexityReport]]:
+    """(file total, per-function reports), computing each complexity once."""
+    functions = artifact_for(source).functions
     complexities = [function_complexity(f, source) for f in functions]
     reports = [
         ComplexityReport(f.name, f.start_line, c)
         for f, c in zip(functions, complexities)
     ]
     reports.sort(key=lambda r: r.start_line)
-    covered = [(f.start_line, f.end_line) for f in functions]
-    total = sum(complexities) + _stray_decisions(source, covered, code_tokens)
+    total = sum(complexities) + _stray_decisions(source, functions)
     return total, reports
 
 
@@ -131,13 +124,11 @@ def complexity_distribution(codebase: Codebase) -> Dict[str, float]:
     Returns mean/max/p90 and the share of functions exceeding McCabe's
     classic threshold of 10 — all of which feed the core feature vector.
     """
-    values: List[int] = []
-    for source in codebase:
-        values.extend(r.complexity for r in file_complexities(source))
-    return distribution_from_values(values)
+    return distribution_from_values(
+        r.complexity for source in codebase for r in file_complexities(source))
 
 
-def distribution_from_values(values: Sequence[int]) -> Dict[str, float]:
+def distribution_from_values(values: Iterable[int]) -> Dict[str, float]:
     """The :func:`complexity_distribution` statistics from raw values.
 
     Split out so the incremental-extraction merge phase can rebuild the

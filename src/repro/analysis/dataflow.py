@@ -31,9 +31,8 @@ from repro.analysis.cfg import (  # noqa: F401
     SOURCE,
     TAINT_SINKS,
     TAINT_SOURCES,
-    build_cfg,
 )
-from repro.lang.parser import extract_functions
+from repro.analysis.artifact import artifact_for
 from repro.lang.sourcefile import Codebase
 
 
@@ -251,8 +250,9 @@ def measure_codebase(codebase: Codebase) -> DataflowMetrics:
     n_defs = n_uses = pairs = max_reach = 0
     sources = sinks = tainted = 0
     for source in codebase:
-        for func in extract_functions(source):
-            counts = flow_counts(build_cfg(func, source), func.param_names)
+        art = artifact_for(source)
+        for func, graph in zip(art.functions, art.cfgs):
+            counts = flow_counts(graph, func.param_names)
             n_defs += counts.defs
             n_uses += counts.uses
             pairs += counts.def_use_pairs

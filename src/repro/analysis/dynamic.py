@@ -22,8 +22,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from repro.analysis.cfg import CFG, ENTRY, EXIT, SINK, build_cfg
-from repro.lang.parser import extract_functions
+from repro.analysis.artifact import artifact_for
+from repro.analysis.cfg import CFG, ENTRY, EXIT, SINK
 from repro.lang.sourcefile import Codebase
 
 
@@ -136,25 +136,15 @@ def measure_codebase(
     n_walks: int = 10,
     max_steps: int = 150,
     seed: int = 0,
-    artifacts=None,
 ) -> DynamicMetrics:
     """Simulate every function of ``codebase`` and aggregate.
 
-    ``artifacts`` maps paths to per-file analysis artifacts
-    (``.functions``/``.cfgs``, index-aligned) so the simulation reuses
-    the shared CFGs; walk seeds depend only on the function index, which
-    the shared table preserves.
+    The walks run over each file's shared CFGs (``artifact_for``); walk
+    seeds depend only on the function's index in the file's table.
     """
     results: List[TraceResult] = []
     for source in codebase:
-        art = artifacts.get(source.path) if artifacts is not None else None
-        if art is not None:
-            cfgs = art.cfgs
-        else:
-            cfgs = [
-                build_cfg(func, source) for func in extract_functions(source)
-            ]
-        for index, cfg in enumerate(cfgs):
+        for index, cfg in enumerate(artifact_for(source).cfgs):
             # zlib.crc32, not hash(): str hashing is salted per process
             # and would make feature extraction non-reproducible.
             walk_seed = zlib.crc32(

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.lang.parser import FunctionInfo, extract_functions
+from repro.analysis.artifact import artifact_for
+from repro.lang.parser import FunctionInfo
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.lang.tokens import TokenKind
 
@@ -48,19 +49,14 @@ class FunctionMetrics:
         return self.total_params / self.n_functions if self.n_functions else 0.0
 
 
-def count_declarations(source: SourceFile, code_tokens=None) -> int:
+def count_declarations(source: SourceFile) -> int:
     """Approximate declaration count for a file.
 
     For C-family/Java: a type keyword followed by an identifier. For
     Python: def/class/lambda/global/nonlocal plus first-bindings via ``=``
     are approximated by counting def/class/lambda statements.
-    ``code_tokens`` lets the analysis artifact supply the filtered stream.
     """
-    tokens = (
-        [t for t in source.tokens if t.is_code()]
-        if code_tokens is None
-        else code_tokens
-    )
+    tokens = source.code_tokens
     if source.spec.name == "python":
         return sum(
             1
@@ -79,18 +75,14 @@ def count_declarations(source: SourceFile, code_tokens=None) -> int:
     return count
 
 
-def count_variables(source: SourceFile, code_tokens=None) -> int:
+def count_variables(source: SourceFile) -> int:
     """Number of distinct identifiers assigned anywhere in the file.
 
     Counts identifiers immediately followed by an assignment operator
     (including compound assignments); a cheap but language-agnostic proxy
     for variable count.
     """
-    tokens = (
-        [t for t in source.tokens if t.is_code()]
-        if code_tokens is None
-        else code_tokens
-    )
+    tokens = source.code_tokens
     assigned = set()
     assign_ops = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=",
                   ">>=", ":="}
@@ -108,14 +100,14 @@ def count_variables(source: SourceFile, code_tokens=None) -> int:
 
 def measure_file(source: SourceFile) -> FunctionMetrics:
     """Function-shape metrics for one file."""
-    return _aggregate(extract_functions(source), [source])
+    return _aggregate(artifact_for(source).functions, [source])
 
 
 def measure_codebase(codebase: Codebase) -> FunctionMetrics:
     """Function-shape metrics aggregated over a codebase."""
     functions: List[FunctionInfo] = []
     for source in codebase:
-        functions.extend(extract_functions(source))
+        functions.extend(artifact_for(source).functions)
     return _aggregate(functions, list(codebase))
 
 
@@ -140,4 +132,4 @@ def _aggregate(functions: List[FunctionInfo], sources: List[SourceFile]) -> Func
 
 def function_table(codebase: Codebase) -> Dict[str, List[FunctionInfo]]:
     """Map each file path to its recovered functions (testbed helper)."""
-    return {source.path: extract_functions(source) for source in codebase}
+    return {source.path: artifact_for(source).functions for source in codebase}

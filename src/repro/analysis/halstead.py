@@ -124,7 +124,7 @@ def measure_tokens(tokens: Iterable[Token]) -> HalsteadMetrics:
 
 def measure_file(source: SourceFile) -> HalsteadMetrics:
     """Halstead measures for one source file."""
-    return measure_tokens(source.tokens)
+    return measure_tokens(source.code_tokens)
 
 
 def measure_codebase(codebase: Codebase) -> HalsteadMetrics:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Counter as CounterT, Iterable
+from typing import Counter as CounterT
 
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.lang.tokens import TokenKind
@@ -37,20 +37,17 @@ class IdentifierMetrics:
         return self.n_distinct / self.n_occurrences if self.n_occurrences else 0.0
 
 
-def _identifier_counts(sources: Iterable[SourceFile]) -> CounterT[str]:
-    counts: CounterT[str] = Counter()
-    for source in sources:
-        for tok in source.tokens:
-            if tok.kind == TokenKind.IDENT:
-                counts[tok.text] += 1
-    return counts
-
-
 def _has_numeric_suffix(name: str) -> bool:
     return len(name) > 1 and name[-1].isdigit() and not name.isdigit()
 
 
-def _metrics_from_counts(counts: CounterT[str]) -> IdentifierMetrics:
+def metrics_from_counts(counts) -> IdentifierMetrics:
+    """Identifier metrics from a counter/mapping of identifier occurrences.
+
+    The float sums follow the mapping's iteration order, so a merged
+    counter must list its keys in the order a whole-codebase scan would
+    (see :func:`file_counts`).
+    """
     total = sum(counts.values())
     if total == 0:
         return IdentifierMetrics(0, 0, 0.0, 0.0, 0.0, 0.0)
@@ -76,41 +73,32 @@ def _metrics_from_counts(counts: CounterT[str]) -> IdentifierMetrics:
     )
 
 
-def file_counts(source: SourceFile, code_tokens=None) -> CounterT[str]:
+def file_counts(source: SourceFile) -> CounterT[str]:
     """The identifier counter of one file, in first-occurrence order.
 
     Insertion order is part of the contract: merging per-file counters
     in path order recreates the codebase counter's key order exactly,
     which the float-summed statistics of :func:`metrics_from_counts`
     depend on for bit-identical results.
-
-    ``code_tokens`` lets the analysis artifact supply its cached filtered
-    stream; comments and newlines are never IDENT tokens, so counting over
-    it preserves both the counts and the first-occurrence key order.
     """
-    if code_tokens is None:
-        return _identifier_counts([source])
     counts: CounterT[str] = Counter()
-    for tok in code_tokens:
+    for tok in source.code_tokens:
         if tok.kind == TokenKind.IDENT:
             counts[tok.text] += 1
     return counts
 
 
-def metrics_from_counts(counts) -> IdentifierMetrics:
-    """Identifier metrics from an already-merged counter/mapping.
-
-    Used by the incremental-extraction merge phase; iteration order of
-    ``counts`` must match what a whole-codebase scan would produce.
-    """
-    return _metrics_from_counts(counts)
-
-
 def measure_file(source: SourceFile) -> IdentifierMetrics:
     """Identifier metrics for one file."""
-    return _metrics_from_counts(_identifier_counts([source]))
+    return metrics_from_counts(file_counts(source))
 
 
 def measure_codebase(codebase: Codebase) -> IdentifierMetrics:
-    """Identifier metrics over a whole codebase."""
-    return _metrics_from_counts(_identifier_counts(codebase))
+    """Identifier metrics over a whole codebase.
+
+    Per-file counters are merged in path order (see :func:`file_counts`).
+    """
+    counts: CounterT[str] = Counter()
+    for source in codebase:
+        counts.update(file_counts(source))
+    return metrics_from_counts(counts)

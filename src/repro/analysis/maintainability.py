@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis import cyclomatic, halstead, loc
-from repro.lang.parser import extract_functions
+from repro.analysis.artifact import artifact_for
 from repro.lang.sourcefile import Codebase, SourceFile
 
 
@@ -73,7 +73,7 @@ def measure_file(source: SourceFile) -> MaintainabilityReport:
 def measure_functions(source: SourceFile) -> List[MaintainabilityReport]:
     """Per-function MI reports for one file."""
     reports = []
-    for func in extract_functions(source):
+    for func in artifact_for(source).functions:
         volume = halstead.measure_tokens(func.body_tokens).volume
         complexity = cyclomatic.function_complexity(func, source)
         reports.append(

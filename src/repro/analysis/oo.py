@@ -56,16 +56,12 @@ class ClassDesignMetrics:
         return (self.public_method_fraction + self.public_field_fraction) / 2.0
 
 
-def _inheritance_edges(source: SourceFile, code_tokens=None) -> Dict[str, str]:
+def _inheritance_edges(source: SourceFile) -> Dict[str, str]:
     """Child-class -> parent-class edges recovered from headers."""
     edges: Dict[str, str] = {}
     if "class" not in source.text:
         return edges  # no `class` keyword token (most C files)
-    tokens = (
-        [t for t in source.tokens if t.is_code()]
-        if code_tokens is None
-        else code_tokens
-    )
+    tokens = source.code_tokens
     for i, tok in enumerate(tokens):
         if tok.kind != TokenKind.KEYWORD or tok.text not in ("class",):
             continue
@@ -151,9 +147,8 @@ def _call_names(cls: ClassInfo) -> List[str]:
     return sorted(names)
 
 
-def file_facts(source: SourceFile, classes: List[ClassInfo],
-               code_tokens=None) -> Dict[str, list]:
-    """The OO facts of one file, as plain JSON.
+def file_facts(source: SourceFile) -> Dict[str, list]:
+    """The OO facts of one file's class table, as plain JSON.
 
     ``classes`` holds one ``[name, [[method, public], ...], public_fields,
     fields, call_names]`` entry per class, in table order (``public`` is
@@ -161,7 +156,7 @@ def file_facts(source: SourceFile, classes: List[ClassInfo],
     child -> parent header edges as ordered ``[child, parent]`` pairs.
     """
     facts = []
-    for cls in classes:
+    for cls in artifact_for(source).classes:
         public_fields, fields = _field_visibility(source, cls)
         facts.append([
             cls.name,
@@ -174,7 +169,7 @@ def file_facts(source: SourceFile, classes: List[ClassInfo],
         "classes": facts,
         "inheritance": [
             [child, parent] for child, parent
-            in _inheritance_edges(source, code_tokens).items()
+            in _inheritance_edges(source).items()
         ],
     }
 
@@ -231,8 +226,4 @@ def metrics_from_facts(files: Iterable[Dict[str, list]]) -> ClassDesignMetrics:
 
 def measure_codebase(codebase: Codebase) -> ClassDesignMetrics:
     """Compute OO design metrics over every class in ``codebase``."""
-    facts = []
-    for source in codebase:
-        art = artifact_for(source)
-        facts.append(file_facts(source, art.classes, art.code_tokens))
-    return metrics_from_facts(facts)
+    return metrics_from_facts(file_facts(source) for source in codebase)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.lang.parser import extract_functions
+from repro.analysis.artifact import artifact_for
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.lang.tokens import TokenKind
 
@@ -46,14 +46,9 @@ _TODO_MARKERS = ("TODO", "FIXME", "XXX", "HACK")
 _CODE_PREFIXES = ("if (", "for (", "while (", "return ")
 
 
-def file_counts(source: SourceFile, functions=None) -> Dict[str, int]:
-    """Per-kind smell counts for one file, keyed in ``ALL_DETECTORS`` order.
-
-    ``functions`` lets the analysis artifact supply its cached function
-    table; without it the file's own table is extracted.
-    """
-    if functions is None:
-        functions = extract_functions(source)
+def file_counts(source: SourceFile) -> Dict[str, int]:
+    """Per-kind smell counts for one file, keyed in ``ALL_DETECTORS`` order."""
+    functions = artifact_for(source).functions
 
     # One token pass: magic numbers, TODO markers, commented-out code.
     # A comment is disabled code when its body — one leading line-comment

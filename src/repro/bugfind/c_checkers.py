@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.analysis.artifact import artifact_for
 from repro.bugfind.findings import Finding, Severity
 from repro.lang.sourcefile import SourceFile
 from repro.lang.tokens import Token, TokenKind
@@ -42,28 +43,11 @@ _RACE_PAIRS = (("access", "open"), ("stat", "open"), ("access", "fopen"),
                ("stat", "fopen"))
 
 
-def _code_tokens(source: SourceFile) -> List[Token]:
-    return [t for t in source.tokens if t.is_code()]
-
-
-def _call_sites(tokens: List[Token]) -> List[int]:
-    """Indices of identifier tokens that are call sites (followed by '(')."""
-    return [
-        i
-        for i in range(len(tokens) - 1)
-        if tokens[i].kind == TokenKind.IDENT and tokens[i + 1].text == "("
-    ]
-
-
-def check_unbounded_copy(source: SourceFile, tokens=None,
-                         call_sites=None) -> List[Finding]:
+def check_unbounded_copy(source: SourceFile) -> List[Finding]:
     """CWE-121/120/242: use of inherently unbounded copy/input routines."""
     findings = []
-    if tokens is None:
-        tokens = _code_tokens(source)
-    if call_sites is None:
-        call_sites = _call_sites(tokens)
-    for i in call_sites:
+    tokens = source.code_tokens
+    for i in artifact_for(source).call_sites:
         name = tokens[i].text
         cwe = _UNBOUNDED_COPY.get(name)
         if cwe is None:
@@ -76,15 +60,11 @@ def check_unbounded_copy(source: SourceFile, tokens=None,
     return findings
 
 
-def check_format_string(source: SourceFile, tokens=None,
-                        call_sites=None) -> List[Finding]:
+def check_format_string(source: SourceFile) -> List[Finding]:
     """CWE-134: format function whose format argument is not a literal."""
     findings = []
-    if tokens is None:
-        tokens = _code_tokens(source)
-    if call_sites is None:
-        call_sites = _call_sites(tokens)
-    for i in call_sites:
+    tokens = source.code_tokens
+    for i in artifact_for(source).call_sites:
         name = tokens[i].text
         if name not in _FORMAT_FUNCS:
             continue
@@ -125,20 +105,16 @@ def _format_argument(tokens: List[Token], call_idx: int, name: str) -> Optional[
     return None
 
 
-def check_unchecked_allocation(source: SourceFile, tokens=None,
-                               call_sites=None) -> List[Finding]:
+def check_unchecked_allocation(source: SourceFile) -> List[Finding]:
     """CWE-476: allocation result never compared against NULL.
 
     Flags ``p = malloc(...)`` when no ``p == NULL`` / ``!p`` / ``p != NULL``
     test appears within the rest of the same function-sized window.
     """
     findings = []
-    if tokens is None:
-        tokens = _code_tokens(source)
+    tokens = source.code_tokens
     text_stream = [t.text for t in tokens]
-    if call_sites is None:
-        call_sites = _call_sites(tokens)
-    for i in call_sites:
+    for i in artifact_for(source).call_sites:
         if tokens[i].text not in _ALLOC_FUNCS:
             continue
         if i < 2 or tokens[i - 1].text != "=":
@@ -166,15 +142,11 @@ def check_unchecked_allocation(source: SourceFile, tokens=None,
     return findings
 
 
-def check_multiplication_in_alloc(source: SourceFile, tokens=None,
-                                  call_sites=None) -> List[Finding]:
+def check_multiplication_in_alloc(source: SourceFile) -> List[Finding]:
     """CWE-190: unchecked multiplication inside an allocation size."""
     findings = []
-    if tokens is None:
-        tokens = _code_tokens(source)
-    if call_sites is None:
-        call_sites = _call_sites(tokens)
-    for i in call_sites:
+    tokens = source.code_tokens
+    for i in artifact_for(source).call_sites:
         if tokens[i].text not in ("malloc", "alloca", "realloc"):
             continue
         depth = 0
@@ -200,15 +172,11 @@ def check_multiplication_in_alloc(source: SourceFile, tokens=None,
     return findings
 
 
-def check_command_injection(source: SourceFile, tokens=None,
-                            call_sites=None) -> List[Finding]:
+def check_command_injection(source: SourceFile) -> List[Finding]:
     """CWE-78: exec-family call with a non-literal command."""
     findings = []
-    if tokens is None:
-        tokens = _code_tokens(source)
-    if call_sites is None:
-        call_sites = _call_sites(tokens)
-    for i in call_sites:
+    tokens = source.code_tokens
+    for i in artifact_for(source).call_sites:
         if tokens[i].text not in _EXEC_FUNCS:
             continue
         nxt = tokens[i + 2] if i + 2 < len(tokens) else None
@@ -222,15 +190,11 @@ def check_command_injection(source: SourceFile, tokens=None,
     return findings
 
 
-def check_toctou(source: SourceFile, tokens=None,
-                 call_sites=None) -> List[Finding]:
+def check_toctou(source: SourceFile) -> List[Finding]:
     """CWE-367: check/use race — access()/stat() then open() on any path."""
     findings = []
-    if tokens is None:
-        tokens = _code_tokens(source)
-    if call_sites is None:
-        call_sites = _call_sites(tokens)
-    calls = [(i, tokens[i].text) for i in call_sites]
+    tokens = source.code_tokens
+    calls = [(i, tokens[i].text) for i in artifact_for(source).call_sites]
     for (i, first), (j, second) in zip(calls, calls[1:]):
         if (first, second) in _RACE_PAIRS:
             findings.append(
@@ -242,18 +206,14 @@ def check_toctou(source: SourceFile, tokens=None,
     return findings
 
 
-def check_weak_random(source: SourceFile, tokens=None,
-                      call_sites=None) -> List[Finding]:
+def check_weak_random(source: SourceFile) -> List[Finding]:
     """CWE-338: rand()/random() used where unpredictability matters.
 
     A call site only counts when the file also names something
     security-relevant (a key, token, nonce, ...), case-insensitively.
     """
-    if tokens is None:
-        tokens = _code_tokens(source)
-    if call_sites is None:
-        call_sites = _call_sites(tokens)
-    calls = [i for i in call_sites
+    tokens = source.code_tokens
+    calls = [i for i in artifact_for(source).call_sites
              if tokens[i].text in ("rand", "random", "srand")]
     if not calls:
         return []
@@ -279,19 +239,16 @@ C_CHECKERS = (
 )
 
 
-def run(source: SourceFile, *, code_tokens=None, functions=None,
-        call_sites=None) -> List[Finding]:
+def run(source: SourceFile) -> List[Finding]:
     """Run every C/C++ checker over one file (no-op for other languages).
 
-    ``code_tokens`` and ``call_sites`` let the analysis artifact supply
-    its cached filtered stream and call-site index; ``functions`` is part
-    of the shared tool signature but unused.
+    The checkers share the file's code tokens and its artifact's
+    call-site index.
     """
-    del functions  # accepted for the common tool signature
     if source.spec.name not in ("c", "cpp"):
         return []
     findings: List[Finding] = []
     for checker in C_CHECKERS:
-        findings.extend(checker(source, code_tokens, call_sites))
+        findings.extend(checker(source))
     findings.sort(key=lambda f: (f.line, f.rule))
     return findings

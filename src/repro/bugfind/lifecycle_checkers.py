@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
+from repro.analysis.artifact import artifact_for
 from repro.bugfind.findings import Finding, Severity
-from repro.lang.parser import extract_functions
 from repro.lang.sourcefile import SourceFile
 from repro.lang.tokens import TokenKind
 
@@ -20,21 +20,17 @@ TOOL = "memlint"
 _ALLOC = frozenset({"malloc", "calloc", "realloc", "strdup"})
 
 
-def check_memory_lifecycle(source: SourceFile, functions=None) -> List[Finding]:
+def check_memory_lifecycle(source: SourceFile) -> List[Finding]:
     """Per-function double-free / use-after-free / leak detection.
 
     One pass over each body's tokens, in order: ``free(p)`` frees ``p``
     (the argument is consumed), ``p = malloc(...)``-style calls allocate
     it, ``p = ...`` reassigns it, and any other mention of a freed
     variable (``p[``, ``p->``, a bare read) is a use after free.
-    ``functions`` lets the analysis artifact supply its cached function
-    table instead of re-extracting.
     """
     findings: List[Finding] = []
-    if functions is None:
-        functions = extract_functions(source)
     ident = TokenKind.IDENT
-    for func in functions:
+    for func in artifact_for(source).functions:
         tokens = func.body_tokens  # already code-filtered by the parser
         n = len(tokens)
         freed: Set[str] = set()
@@ -90,15 +86,8 @@ def check_memory_lifecycle(source: SourceFile, functions=None) -> List[Finding]:
     return findings
 
 
-def run(source: SourceFile, *, code_tokens=None, functions=None,
-        call_sites=None) -> List[Finding]:
-    """Run the lifecycle checker (C/C++ only).
-
-    ``functions`` lets the analysis artifact supply its cached function
-    table; ``code_tokens`` and ``call_sites`` are part of the shared
-    tool signature but unused.
-    """
-    del code_tokens, call_sites  # accepted for the common tool signature
+def run(source: SourceFile) -> List[Finding]:
+    """Run the lifecycle checker (C/C++ only)."""
     if source.spec.name not in ("c", "cpp"):
         return []
-    return check_memory_lifecycle(source, functions)
+    return check_memory_lifecycle(source)

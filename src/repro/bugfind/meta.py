@@ -17,9 +17,8 @@ from repro.bugfind import c_checkers, generic_checkers, lifecycle_checkers
 from repro.bugfind.findings import Finding, Severity
 from repro.lang.sourcefile import Codebase, SourceFile
 
-#: The registered tools, by name. Each maps a file to findings, and must
-#: accept keyword-only ``code_tokens``/``functions`` (ignoring whichever it
-#: does not need) so the analysis artifact's cached views can be passed in.
+#: The registered tools, by name. Each maps a file to findings, reading
+#: the file's shared views (``SourceFile.code_tokens``, ``artifact_for``).
 TOOLS: Dict[str, Callable[..., List[Finding]]] = {
     c_checkers.TOOL: c_checkers.run,
     generic_checkers.TOOL: generic_checkers.run,
@@ -66,14 +65,8 @@ def run_all(codebase: Codebase) -> MetaReport:
                 for source in codebase:
                     raw.extend(tool(source))
 
-    merged: Dict[tuple, Finding] = {}
-    for finding in raw:
-        key = finding.key()
-        existing = merged.get(key)
-        if existing is None or finding.severity > existing.severity:
-            merged[key] = finding
     findings = tuple(
-        sorted(merged.values(), key=lambda f: (f.path, f.line, f.rule))
+        sorted(_dedupe(raw), key=lambda f: (f.path, f.line, f.rule))
     )
     obs.incr("bugfind.findings", len(findings))
     obs.incr("bugfind.duplicates_removed", len(raw) - len(findings))
@@ -99,9 +92,22 @@ def run_all(codebase: Codebase) -> MetaReport:
     )
 
 
-def file_summary(
-    source: SourceFile, code_tokens=None, functions=None, call_sites=None
-) -> Dict[str, object]:
+def _dedupe(raw: List[Finding]) -> List[Finding]:
+    """One finding per deduplication key, the most severe of its group.
+
+    Groups keep the order their first member arrived in; within a group
+    the first of the most severe findings wins.
+    """
+    merged: Dict[tuple, Finding] = {}
+    for finding in raw:
+        key = finding.key()
+        existing = merged.get(key)
+        if existing is None or finding.severity > existing.severity:
+            merged[key] = finding
+    return list(merged.values())
+
+
+def file_summary(source: SourceFile) -> Dict[str, object]:
     """All-integer bug-finding summary for one file (JSON-ready).
 
     The feature testbed only consumes order-independent aggregates of a
@@ -116,18 +122,12 @@ def file_summary(
     """
     raw: List[Finding] = []
     for tool in TOOLS.values():
-        raw.extend(tool(source, code_tokens=code_tokens, functions=functions,
-                        call_sites=call_sites))
-    merged: Dict[tuple, Finding] = {}
-    for finding in raw:
-        key = finding.key()
-        existing = merged.get(key)
-        if existing is None or finding.severity > existing.severity:
-            merged[key] = finding
+        raw.extend(tool(source))
+    merged = _dedupe(raw)
     per_rule: Dict[str, int] = {}
     per_cwe: Dict[str, int] = {}
     severities: Dict[str, int] = {}
-    for finding in merged.values():
+    for finding in merged:
         per_rule[finding.rule] = per_rule.get(finding.rule, 0) + 1
         if finding.cwe:
             cwe = str(finding.cwe)

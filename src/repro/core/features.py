@@ -67,7 +67,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro import obs
 from repro.analysis import (
     callgraph,
-    cfg as cfg_mod,
     churn as churn_mod,
     cyclomatic,
     dataflow,
@@ -79,12 +78,11 @@ from repro.analysis import (
     oo,
     smells,
 )
-from repro.analysis.artifact import artifact_for, artifacts_for
+from repro.analysis.artifact import artifact_for
 from repro.analysis.churn import CommitHistory
 from repro.bugfind import Severity
 from repro.bugfind.meta import file_summary
 from repro.lang.languages import ALL_LANGUAGES
-from repro.lang.parser import extract_classes, extract_functions
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.surface import attack_graph, rasq
 
@@ -162,15 +160,15 @@ if hasattr(os, "register_at_fork"):  # POSIX only; no fork, no inheritance
 
 # -- per-file collectors ------------------------------------------------------
 #
-# Each collector comes in two flavours. The *fused* one (the default hot
-# path) pulls every derived view — filtered tokens, function table, CFGs,
-# per-node flow info — from the file's shared
-# :class:`~repro.analysis.artifact.FileArtifact`, so the file is lexed and
-# parsed exactly once no matter how many analyzers run. The *legacy* one
-# is the original implementation where every analyzer re-derives its own
-# views; it is kept as the independent reference the differential harness
-# (``tests/analysis/test_fused_equivalence.py``) compares against. Both
-# must produce byte-identical records.
+# One collector per analyzer, each taking the SourceFile alone. Every
+# derived view it needs — code tokens, function and class tables, CFGs,
+# call sites — comes from the file's shared views (``SourceFile`` and its
+# :class:`~repro.analysis.artifact.FileArtifact`), so the file is lexed
+# and parsed exactly once however many analyzers run. The first collector
+# to touch a file builds a view, the rest share it. Run on its own fresh
+# SourceFile, a collector derives every view itself and must produce the
+# same record: ``tests/analysis/test_fused_equivalence.py`` holds
+# :func:`file_record` to exactly that reference.
 
 def _collect_loc(source: SourceFile) -> FileRecord:
     counts = loc.count_file(source)
@@ -179,22 +177,12 @@ def _collect_loc(source: SourceFile) -> FileRecord:
 
 
 def _collect_cyclomatic(source: SourceFile) -> FileRecord:
-    art = artifact_for(source)
-    total, reports = cyclomatic.file_summary(
-        source, art.functions, art.code_tokens
-    )
+    total, reports = cyclomatic.file_summary(source)
     return {"total": total, "values": [r.complexity for r in reports]}
 
 
-def _collect_cyclomatic_legacy(source: SourceFile) -> FileRecord:
-    return {
-        "total": cyclomatic.file_complexity(source),
-        "values": [r.complexity
-                   for r in cyclomatic.file_complexities(source)],
-    }
-
-
-def _halstead_record(hal) -> FileRecord:
+def _collect_halstead(source: SourceFile) -> FileRecord:
+    hal = halstead.measure_file(source)
     return {
         "distinct_operators": hal.distinct_operators,
         "distinct_operands": hal.distinct_operands,
@@ -203,18 +191,8 @@ def _halstead_record(hal) -> FileRecord:
     }
 
 
-def _collect_halstead(source: SourceFile) -> FileRecord:
-    # Comments and newlines are neither Halstead operators nor operands,
-    # so counting over the filtered stream is exact.
-    art = artifact_for(source)
-    return _halstead_record(halstead.measure_tokens(art.code_tokens))
-
-
-def _collect_halstead_legacy(source: SourceFile) -> FileRecord:
-    return _halstead_record(halstead.measure_file(source))
-
-
-def _functions_record(source: SourceFile, funcs, code_tokens=None) -> FileRecord:
+def _collect_functions(source: SourceFile) -> FileRecord:
+    funcs = artifact_for(source).functions
     lengths = [f.length for f in funcs]
     nestings = [f.max_nesting for f in funcs]
     params = [f.param_count for f in funcs]
@@ -227,33 +205,20 @@ def _functions_record(source: SourceFile, funcs, code_tokens=None) -> FileRecord
         "max_length": max(lengths, default=0),
         "total_nesting": sum(nestings),
         "max_nesting": max(nestings, default=0),
-        "n_declarations": functions.count_declarations(source, code_tokens),
-        "n_variables": functions.count_variables(source, code_tokens),
+        "n_declarations": functions.count_declarations(source),
+        "n_variables": functions.count_variables(source),
     }
 
 
-def _collect_functions(source: SourceFile) -> FileRecord:
-    art = artifact_for(source)
-    return _functions_record(source, art.functions, art.code_tokens)
-
-
-def _collect_functions_legacy(source: SourceFile) -> FileRecord:
-    return _functions_record(source, extract_functions(source))
-
-
 def _collect_identifiers(source: SourceFile) -> FileRecord:
-    return dict(identifiers.file_counts(source, artifact_for(source).code_tokens))
-
-
-def _collect_identifiers_legacy(source: SourceFile) -> FileRecord:
     return dict(identifiers.file_counts(source))
 
 
-def _cfg_record(cfgs) -> FileRecord:
+def _collect_cfg(source: SourceFile) -> FileRecord:
     nodes = edges = branches = returns = 0
     paths: List[int] = []
     cyclomatics: List[int] = []
-    for graph in cfgs:
+    for graph in artifact_for(source).cfgs:
         nodes += graph.n_nodes
         edges += graph.n_edges
         branches += graph.n_branch_nodes
@@ -264,21 +229,11 @@ def _cfg_record(cfgs) -> FileRecord:
             "returns": returns, "paths": paths, "cyclomatics": cyclomatics}
 
 
-def _collect_cfg(source: SourceFile) -> FileRecord:
-    return _cfg_record(artifact_for(source).cfgs)
-
-
-def _collect_cfg_legacy(source: SourceFile) -> FileRecord:
-    return _cfg_record(
-        cfg_mod.build_cfg(func, source) for func in extract_functions(source)
-    )
-
-
-def _dataflow_record(graphs) -> FileRecord:
-    """``graphs`` yields (function, CFG) pairs."""
+def _collect_dataflow(source: SourceFile) -> FileRecord:
+    art = artifact_for(source)
     n_defs = pairs = max_reach = 0
     sources = sinks = tainted = 0
-    for func, graph in graphs:
+    for func, graph in zip(art.functions, art.cfgs):
         counts = dataflow.flow_counts(graph, func.param_names)
         n_defs += counts.defs
         pairs += counts.def_use_pairs
@@ -290,19 +245,8 @@ def _dataflow_record(graphs) -> FileRecord:
             "sources": sources, "sinks": sinks, "tainted": tainted}
 
 
-def _collect_dataflow(source: SourceFile) -> FileRecord:
-    art = artifact_for(source)
-    return _dataflow_record(zip(art.functions, art.cfgs))
-
-
-def _collect_dataflow_legacy(source: SourceFile) -> FileRecord:
-    return _dataflow_record(
-        (func, cfg_mod.build_cfg(func, source))
-        for func in extract_functions(source)
-    )
-
-
-def _surface_record(surface) -> FileRecord:
+def _collect_surface(source: SourceFile) -> FileRecord:
+    surface = rasq.measure_file(source)
     return {
         "channels": dict(surface.channel_counts),
         "privilege": surface.n_privilege_sites,
@@ -310,57 +254,9 @@ def _surface_record(surface) -> FileRecord:
     }
 
 
-def _collect_surface(source: SourceFile) -> FileRecord:
-    art = artifact_for(source)
-    return _surface_record(
-        rasq.measure_file(source, art.code_tokens, art.functions)
-    )
-
-
-def _collect_surface_legacy(source: SourceFile) -> FileRecord:
-    single = Codebase(source.path, [source])
-    return _surface_record(rasq.measure_codebase(single))
-
-
-def _collect_calls(source: SourceFile) -> List[list]:
-    return callgraph.file_facts(artifact_for(source).functions)
-
-
-def _collect_calls_legacy(source: SourceFile) -> List[list]:
-    return callgraph.file_facts(extract_functions(source))
-
-
-def _collect_oo(source: SourceFile) -> FileRecord:
-    art = artifact_for(source)
-    return oo.file_facts(source, art.classes, art.code_tokens)
-
-
-def _collect_oo_legacy(source: SourceFile) -> FileRecord:
-    return oo.file_facts(source, extract_classes(source))
-
-
-def _collect_bugs(source: SourceFile) -> FileRecord:
-    art = artifact_for(source)
-    return file_summary(source, art.code_tokens, art.functions,
-                        art.call_sites)
-
-
-def _collect_bugs_legacy(source: SourceFile) -> FileRecord:
-    return file_summary(source)
-
-
-def _collect_smells(source: SourceFile) -> FileRecord:
-    return smells.file_counts(source, artifact_for(source).functions)
-
-
-def _collect_smells_legacy(source: SourceFile) -> FileRecord:
-    return smells.file_counts(source)
-
-
 #: (span name, record key, collector) — analyzer-major so a cold run
 #: emits one span per analyzer covering every file, exactly like the
-#: pre-split whole-tree calls did. These are the fused collectors; the
-#: first analyzer to touch a file builds its artifact, the rest share it.
+#: pre-split whole-tree calls did.
 _PER_FILE_COLLECTORS = (
     ("analysis.loc", "loc", _collect_loc),
     ("analysis.cyclomatic", "cyclomatic", _collect_cyclomatic),
@@ -370,29 +266,10 @@ _PER_FILE_COLLECTORS = (
     ("analysis.cfg", "cfg", _collect_cfg),
     ("analysis.dataflow", "dataflow", _collect_dataflow),
     ("surface.rasq", "surface", _collect_surface),
-    ("analysis.bugfind", "bugs", _collect_bugs),
-    ("analysis.smells", "smells", _collect_smells),
-    ("analysis.callgraph", "calls", _collect_calls),
-    ("analysis.oo", "oo", _collect_oo),
-)
-
-#: The pre-artifact reference collectors, same span names and record
-#: keys. Every entry re-derives its own token/function/CFG views from the
-#: SourceFile alone (no artifact cache reads), so the differential harness
-#: compares two genuinely independent computations.
-LEGACY_PER_FILE_COLLECTORS = (
-    ("analysis.loc", "loc", _collect_loc),
-    ("analysis.cyclomatic", "cyclomatic", _collect_cyclomatic_legacy),
-    ("analysis.halstead", "halstead", _collect_halstead_legacy),
-    ("analysis.functions", "functions", _collect_functions_legacy),
-    ("analysis.identifiers", "identifiers", _collect_identifiers_legacy),
-    ("analysis.cfg", "cfg", _collect_cfg_legacy),
-    ("analysis.dataflow", "dataflow", _collect_dataflow_legacy),
-    ("surface.rasq", "surface", _collect_surface_legacy),
-    ("analysis.bugfind", "bugs", _collect_bugs_legacy),
-    ("analysis.smells", "smells", _collect_smells_legacy),
-    ("analysis.callgraph", "calls", _collect_calls_legacy),
-    ("analysis.oo", "oo", _collect_oo_legacy),
+    ("analysis.bugfind", "bugs", file_summary),
+    ("analysis.smells", "smells", smells.file_counts),
+    ("analysis.callgraph", "calls", callgraph.file_facts),
+    ("analysis.oo", "oo", oo.file_facts),
 )
 
 
@@ -412,20 +289,6 @@ def file_record(source: SourceFile) -> FileRecord:
     obs.incr("bugfind.findings", record["bugs"]["total"])
     obs.incr("bugfind.duplicates_removed",
              record["bugs"]["duplicates_removed"])
-    return record
-
-
-def file_record_legacy(source: SourceFile) -> FileRecord:
-    """:func:`file_record` via the pre-artifact reference collectors.
-
-    Every analyzer re-derives its own token/function/CFG views, exactly
-    as before the single-parse artifact existed. Exists for the
-    differential harness; deliberately counter-free so comparing the two
-    paths does not double-book metrics.
-    """
-    record: FileRecord = {}
-    for _, key, collect in LEGACY_PER_FILE_COLLECTORS:
-        record[key] = collect(source)
     return record
 
 
@@ -484,7 +347,7 @@ def merge_records(
     The call graph, OO design and attack graph are folded from facts
     the records carry, in path order, so no file is lexed or parsed
     here: a warm run over cached records costs the fold alone. Only the
-    optional dynamic traces need each file's parse (``artifacts_for``).
+    optional dynamic traces need each file's parse (``artifact_for``).
     """
     row: Dict[str, float] = {}
     counts = loc.LineCounts(
@@ -725,8 +588,7 @@ def merge_records(
         from repro.analysis import dynamic
 
         with obs.span("analysis.dynamic"):
-            traces = dynamic.measure_codebase(
-                codebase, artifacts=artifacts_for(codebase))
+            traces = dynamic.measure_codebase(codebase)
         row["dynamic.node_coverage"] = traces.mean_node_coverage
         row["dynamic.edge_coverage"] = traces.mean_edge_coverage
         row["dynamic.trace_length"] = traces.mean_trace_length

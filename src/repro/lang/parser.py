@@ -10,6 +10,7 @@ uses indentation.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -50,45 +51,55 @@ class ClassInfo:
     methods: List[FunctionInfo] = field(default_factory=list)
 
 
-def extract_functions(
-    source: SourceFile, code_tokens: Optional[List[Token]] = None
-) -> List[FunctionInfo]:
+def extract_functions(source: SourceFile) -> List[FunctionInfo]:
     """Extract function definitions from ``source``.
 
     Dispatches on the language's ``function_style``: brace matching for
-    C/C++/Java, indentation tracking for Python. ``code_tokens`` lets a
-    caller that already filtered the token stream (the analysis artifact)
-    skip the refilter; it must equal ``[t for t in source.tokens if
-    t.is_code()]``.
+    C/C++/Java, indentation tracking for Python.
     """
     if source.spec.function_style == "indent":
-        return _extract_python_functions(source, code_tokens)
-    return _extract_brace_functions(source, code_tokens)
+        return _extract_python_functions(source)
+    return _extract_brace_functions(source)
 
 
 def extract_classes(
-    source: SourceFile,
-    code_tokens: Optional[List[Token]] = None,
-    functions: Optional[List[FunctionInfo]] = None,
+    source: SourceFile, functions: Optional[List[FunctionInfo]] = None
 ) -> List[ClassInfo]:
     """Extract class definitions (with their methods) from ``source``.
 
-    ``functions`` lets a caller reuse an already-extracted function list;
-    methods are matched to classes by line extent, and matched functions
-    get their ``owner`` field filled in.
+    ``functions`` lets a caller reuse an already-extracted function list
+    (the analysis artifact passes its shared table); methods are matched
+    to classes by line extent, and matched functions get their ``owner``
+    field filled in.
     """
+    if functions is None:
+        functions = extract_functions(source)
     if source.spec.function_style == "indent":
-        return _extract_python_classes(source, code_tokens, functions)
-    return _extract_brace_classes(source, code_tokens, functions)
+        return _extract_python_classes(source, functions)
+    return _extract_brace_classes(source, functions)
+
+
+def _methods_within(functions: List[FunctionInfo], starts: List[int],
+                    lo: int, hi: int) -> List[FunctionInfo]:
+    """The functions lying wholly within lines ``lo..hi``, in table order.
+
+    ``starts`` holds each function's start line. The table is in
+    start-line order, so the candidates are the run of functions that
+    start in ``lo..hi``, and one bisection finds where it begins.
+    """
+    methods = []
+    for k in range(bisect_left(starts, lo), len(functions)):
+        f = functions[k]
+        if f.start_line > hi:
+            break
+        if f.end_line <= hi:
+            methods.append(f)
+    return methods
 
 
 # ---------------------------------------------------------------------------
 # Brace languages (C, C++, Java)
 # ---------------------------------------------------------------------------
-
-
-def _code_tokens(source: SourceFile) -> List[Token]:
-    return [t for t in source.tokens if t.is_code()]
 
 
 def _match_paren(tokens: List[Token], open_idx: int) -> int:
@@ -162,10 +173,8 @@ def _body_nesting(tokens: List[Token]) -> int:
     return max(deepest - 1, 0)
 
 
-def _extract_brace_functions(
-    source: SourceFile, code_tokens: Optional[List[Token]] = None
-) -> List[FunctionInfo]:
-    tokens = _code_tokens(source) if code_tokens is None else code_tokens
+def _extract_brace_functions(source: SourceFile) -> List[FunctionInfo]:
+    tokens = source.code_tokens
     functions: List[FunctionInfo] = []
     i = 0
     n = len(tokens)
@@ -232,14 +241,11 @@ def _brace_is_public(tokens: List[Token], name_idx: int) -> bool:
 
 
 def _extract_brace_classes(
-    source: SourceFile,
-    code_tokens: Optional[List[Token]] = None,
-    functions: Optional[List[FunctionInfo]] = None,
+    source: SourceFile, functions: List[FunctionInfo]
 ) -> List[ClassInfo]:
-    tokens = _code_tokens(source) if code_tokens is None else code_tokens
+    tokens = source.code_tokens
+    starts = [f.start_line for f in functions]
     classes: List[ClassInfo] = []
-    if functions is None:
-        functions = _extract_brace_functions(source, tokens)
     i = 0
     n = len(tokens)
     while i < n:
@@ -253,10 +259,8 @@ def _extract_brace_classes(
                 if j < n and tokens[j].text == "{":
                     end = _match_brace(tokens, j)
                     start_line, end_line = tok.line, tokens[end].line
-                    methods = [
-                        f for f in functions
-                        if start_line <= f.start_line and f.end_line <= end_line
-                    ]
+                    methods = _methods_within(functions, starts,
+                                              start_line, end_line)
                     for m in methods:
                         m.owner = name
                     classes.append(ClassInfo(name, start_line, end_line, methods))
@@ -296,11 +300,12 @@ def _python_block_end(lines: List[str], header_line: int) -> int:
     return end
 
 
-def _extract_python_functions(
-    source: SourceFile, code_tokens: Optional[List[Token]] = None
-) -> List[FunctionInfo]:
-    tokens = _code_tokens(source) if code_tokens is None else code_tokens
+def _extract_python_functions(source: SourceFile) -> List[FunctionInfo]:
+    tokens = source.code_tokens
     lines = source.lines
+    # Tokens are in line order, so a body is the run of tokens after the
+    # header's ')' up to the block's last line: one bisection, not a scan.
+    token_lines = [t.line for t in tokens]
     functions: List[FunctionInfo] = []
     n = len(tokens)
     for i, tok in enumerate(tokens):
@@ -320,7 +325,7 @@ def _extract_python_functions(
             for t in tokens[i + 3 : close]
             if t.kind == TokenKind.IDENT and _is_python_param(tokens, i + 3, close, t)
         ]
-        body = [t for t in tokens[close + 1 :] if tok.line <= t.line <= end_line]
+        body = tokens[close + 1 : bisect_right(token_lines, end_line, close + 1)]
         base_indent = line_indent(lines[tok.line - 1])
         deepest = 0
         for ln in range(tok.line + 1, end_line + 1):
@@ -368,14 +373,11 @@ def _is_python_param(
 
 
 def _extract_python_classes(
-    source: SourceFile,
-    code_tokens: Optional[List[Token]] = None,
-    functions: Optional[List[FunctionInfo]] = None,
+    source: SourceFile, functions: List[FunctionInfo]
 ) -> List[ClassInfo]:
-    tokens = _code_tokens(source) if code_tokens is None else code_tokens
+    tokens = source.code_tokens
     lines = source.lines
-    if functions is None:
-        functions = _extract_python_functions(source, tokens)
+    starts = [f.start_line for f in functions]
     classes: List[ClassInfo] = []
     for i, tok in enumerate(tokens):
         if tok.kind != TokenKind.KEYWORD or tok.text != "class":
@@ -384,10 +386,7 @@ def _extract_python_classes(
             continue
         name = tokens[i + 1].text
         end_line = _python_block_end(lines, tok.line)
-        methods = [
-            f for f in functions
-            if tok.line < f.start_line and f.end_line <= end_line
-        ]
+        methods = _methods_within(functions, starts, tok.line + 1, end_line)
         for m in methods:
             m.owner = name
         classes.append(ClassInfo(name, tok.line, end_line, methods))

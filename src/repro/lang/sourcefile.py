@@ -1,9 +1,10 @@
 """Source-file and codebase models.
 
 A :class:`SourceFile` pairs a path with its text and detected language and
-lazily caches its token stream. A :class:`Codebase` is the unit the paper's
-testbed operates on: the complete set of source files for one application,
-which every analyzer in :mod:`repro.analysis` consumes.
+lazily caches its token stream, code-token list and lines. A
+:class:`Codebase` is the unit the paper's testbed operates on: the complete
+set of source files for one application, which every analyzer in
+:mod:`repro.analysis` consumes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.lang.tokens import Token
 
 
 class SourceFile:
-    """One source file: path, text, language, and cached tokens."""
+    """One source file: path, text, language, and cached token views."""
 
     def __init__(self, path: str, text: str, spec: Optional[LanguageSpec] = None):
         if spec is None:
@@ -28,12 +29,13 @@ class SourceFile:
         self.text = text
         self.spec = spec
         self._tokens: Optional[List[Token]] = None
+        self._code_tokens: Optional[List[Token]] = None
         self._lines: Optional[List[str]] = None
         self._artifact = None  # lazily-built repro.analysis.artifact.FileArtifact
 
     def __getstate__(self) -> dict:
         # Ship only path/text/language-name across process boundaries:
-        # the token cache re-lexes lazily on the other side, and the spec
+        # the token caches re-lex lazily on the other side, and the spec
         # is re-resolved by name so it stays the module singleton that
         # identity checks (``f.spec is spec``) rely on.
         return {"path": self.path, "text": self.text,
@@ -44,6 +46,7 @@ class SourceFile:
         self.text = state["text"]
         self.spec = language_by_name(state["language"])
         self._tokens = None
+        self._code_tokens = None
         self._lines = None
         self._artifact = None
 
@@ -53,6 +56,16 @@ class SourceFile:
         if self._tokens is None:
             self._tokens = Lexer(self.spec).tokenize(self.text)
         return self._tokens
+
+    @property
+    def code_tokens(self) -> List[Token]:
+        """The token stream without comments and newlines (cached).
+
+        The one code-token list every analyzer reads.
+        """
+        if self._code_tokens is None:
+            self._code_tokens = [t for t in self.tokens if t.is_code()]
+        return self._code_tokens
 
     @property
     def lines(self) -> List[str]:

@@ -15,9 +15,9 @@ publicly visible functions the parser recovers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
-from repro.lang.parser import extract_functions
+from repro.analysis.artifact import artifact_for
 from repro.lang.sourcefile import Codebase
 from repro.lang.tokens import TokenKind
 
@@ -97,19 +97,11 @@ class AttackSurface:
         return self.channel_counts.get("network", 0) > 0
 
 
-def measure_file(source, code_tokens=None, functions=None) -> AttackSurface:
-    """The :class:`AttackSurface` contribution of one file.
-
-    ``code_tokens``/``functions`` let the analysis artifact supply its
-    cached views; the scan itself is unchanged.
-    """
+def measure_file(source) -> AttackSurface:
+    """The :class:`AttackSurface` contribution of one file."""
     channel_counts = {channel: 0 for channel in CHANNEL_WEIGHTS}
     privilege = 0
-    tokens = (
-        [t for t in source.tokens if t.is_code()]
-        if code_tokens is None
-        else code_tokens
-    )
+    tokens = source.code_tokens
     for i, tok in enumerate(tokens):
         if tok.kind != TokenKind.IDENT:
             continue
@@ -124,8 +116,7 @@ def measure_file(source, code_tokens=None, functions=None) -> AttackSurface:
             if name in apis:
                 channel_counts[channel] += 1
                 break
-    if functions is None:
-        functions = extract_functions(source)
+    functions = artifact_for(source).functions
     public_methods = sum(1 for f in functions if f.is_public)
     return AttackSurface(
         channel_counts=channel_counts,
@@ -134,24 +125,17 @@ def measure_file(source, code_tokens=None, functions=None) -> AttackSurface:
     )
 
 
-def measure_codebase(codebase: Codebase, artifacts=None) -> AttackSurface:
+def measure_codebase(codebase: Codebase) -> AttackSurface:
     """Compute the :class:`AttackSurface` of ``codebase``.
 
     A channel instance is a call site of one of the channel's APIs; each
-    public function counts toward the method dimension. ``artifacts`` maps
-    paths to per-file analysis artifacts (``.code_tokens``/``.functions``)
-    so the scan reuses the shared parse.
+    public function counts toward the method dimension.
     """
     channel_counts = {channel: 0 for channel in CHANNEL_WEIGHTS}
     privilege = 0
     public_methods = 0
     for source in codebase:
-        art = artifacts.get(source.path) if artifacts is not None else None
-        surface = measure_file(
-            source,
-            art.code_tokens if art is not None else None,
-            art.functions if art is not None else None,
-        )
+        surface = measure_file(source)
         for channel, count in surface.channel_counts.items():
             channel_counts[channel] += count
         privilege += surface.n_privilege_sites

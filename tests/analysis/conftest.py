@@ -3,13 +3,14 @@
 The centrepiece is ``corpus_files``: a diverse, deterministic set of
 source files — the committed golden tree, synthetic applications in all
 four languages, and hand-written lexer edge cases — used by both the
-fused-vs-legacy differential harness and the artifact property suite.
+single-parse differential harness and the artifact property suite.
 """
 
 import os
 
 import pytest
 
+from repro.core.features import _PER_FILE_COLLECTORS
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.synth.appgen import GeneratorConfig, generate_app
 from repro.synth.profiles import AppProfile
@@ -88,6 +89,17 @@ def corpus_files():
 def fresh_copy(source: SourceFile) -> SourceFile:
     """An independent SourceFile with no caches shared with ``source``."""
     return SourceFile(source.path, source.text, source.spec)
+
+
+def reference_record(source: SourceFile) -> dict:
+    """``file_record(source)`` with every collector on its own fresh copy.
+
+    No view is shared between analyzers: each one lexes, parses and
+    builds CFGs from the text itself. This is the independent reference
+    the single-parse path is held to.
+    """
+    return {key: collect(fresh_copy(source))
+            for _, key, collect in _PER_FILE_COLLECTORS}
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,8 @@
 
 Random C-like and Python-like programs (plus raw text noise) must uphold:
 
-- fused ``file_record`` equals the legacy reference on every generated
-  program, per analyzer;
+- ``file_record`` equals the fresh-copy reference (each collector on its
+  own SourceFile) on every generated program, per analyzer;
 - token offsets are non-decreasing and each real token's text is the
   exact source slice at its offset (round-trip invariant);
 - concatenating lexemes in offset order reconstructs the file text
@@ -19,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.artifact import FileArtifact, artifact_for
-from repro.core.features import file_record, file_record_legacy
+from repro.core.features import file_record
 from repro.lang import C, PYTHON, tokenize
 from repro.lang.sourcefile import SourceFile
 
-from tests.analysis.conftest import fresh_copy
+from tests.analysis.conftest import reference_record
 
 
 # -- random program generators ------------------------------------------------
@@ -73,24 +73,24 @@ def py_like_sources(draw):
     return "\n".join(lines) + "\n"
 
 
-def _assert_fused_equals_legacy(path, text):
+def _assert_matches_reference(path, text):
     source = SourceFile(path, text)
     fused = file_record(source)
-    legacy = file_record_legacy(fresh_copy(source))
-    assert repr(fused) == repr(legacy), text
-    assert json.dumps(fused) == json.dumps(legacy), text
+    reference = reference_record(source)
+    assert repr(fused) == repr(reference), text
+    assert json.dumps(fused) == json.dumps(reference), text
 
 
 @settings(max_examples=60, deadline=None)
 @given(c_like_sources())
 def test_fused_equals_legacy_on_random_c(text):
-    _assert_fused_equals_legacy("t.c", text)
+    _assert_matches_reference("t.c", text)
 
 
 @settings(max_examples=60, deadline=None)
 @given(py_like_sources())
 def test_fused_equals_legacy_on_random_python(text):
-    _assert_fused_equals_legacy("t.py", text)
+    _assert_matches_reference("t.py", text)
 
 
 # -- lexer round-trip invariants ----------------------------------------------
@@ -164,7 +164,9 @@ def test_artifact_views_are_cached_and_stable():
     assert art.classes is art.classes
     assert art.cfgs is art.cfgs
     assert art.node_info(0) is art.node_info(0)
-    assert len(art.function_cfgs()) == len(art.functions)
+    assert art.call_sites is art.call_sites
+    assert art.code_tokens is source.code_tokens
+    assert len(art.cfgs) == len(art.functions)
 
 
 def test_artifact_not_pickled_with_sourcefile():
@@ -177,6 +179,18 @@ def test_artifact_not_pickled_with_sourcefile():
     assert isinstance(artifact_for(clone), FileArtifact)
     assert repr(artifact_for(clone).functions) == \
         repr(artifact_for(source).functions)
+
+
+def test_unpickled_sourcefile_has_no_cached_code_tokens():
+    import pickle
+
+    source = SourceFile("t.py", "def f(a):  # note\n    return a\n")
+    code = source.code_tokens  # populate the cache
+    assert source.code_tokens is code
+    clone = pickle.loads(pickle.dumps(source))
+    assert clone._code_tokens is None
+    assert clone._tokens is None
+    assert [repr(t) for t in clone.code_tokens] == [repr(t) for t in code]
 
 
 def test_artifact_holds_its_source_weakly():

@@ -1,39 +1,40 @@
-"""Differential harness: the fused single-parse path is byte-identical.
+"""Differential harness: the single-parse path is byte-identical.
 
-Every per-file collector in ``repro.core.features`` has a fused flavour
-(reads the shared :class:`~repro.analysis.artifact.FileArtifact`) and a
-legacy flavour (re-derives everything from the SourceFile alone). The
-contract of the artifact refactor is *byte identity*: for every file,
-every analyzer, fused and legacy must agree on repr, on JSON bytes, and
-on dict key order — not merely on numeric equality. The tree-level analyzers
-folded from JSON round-tripped records (what the merge sees on a warm
-run) must equal the live analyzers, and the merged feature row must be
-identical too.
-
-The legacy side always runs on a fresh SourceFile copy, so it cannot be
-contaminated by artifact caches the fused side planted.
+Every per-file collector in ``repro.core.features`` takes the SourceFile
+alone and reads its views from the file's shared
+:class:`~repro.analysis.artifact.FileArtifact`. :func:`file_record` runs
+all of them over one file, so the first analyzer builds each view and
+the rest share it. The reference runs each collector on its own fresh
+SourceFile copy instead (``reference_record``), so no view is shared and
+every analyzer derives its own tokens, tables and CFGs. The contract is
+*byte identity*: for every file and every analyzer the two must agree on
+repr, on JSON bytes, and on dict key order, not merely on numeric
+equality. The tree-level analyzers folded from JSON round-tripped
+records (what the merge sees on a warm run) must equal the live
+analyzers on a fresh tree, and the merged feature row must be identical
+too.
 """
 
+import inspect
 import json
 
 import pytest
 
-from repro.analysis import artifact_for, artifacts_for, callgraph, dynamic, oo
+from repro.analysis import artifact_for, callgraph, dynamic, oo
+from repro.analysis.cfg import build_cfg
 from repro.core.features import (
-    LEGACY_PER_FILE_COLLECTORS,
     _PER_FILE_COLLECTORS,
     file_record,
     _merged_surface,
-    file_record_legacy,
     merge_records,
 )
 from repro.lang.sourcefile import Codebase
+from repro.lang.tokens import TokenKind
 from repro.surface import attack_graph, rasq
 
-from tests.analysis.conftest import fresh_copy
+from tests.analysis.conftest import fresh_copy, reference_record
 
 _FUSED = {key: collect for _, key, collect in _PER_FILE_COLLECTORS}
-_LEGACY = {key: collect for _, key, collect in LEGACY_PER_FILE_COLLECTORS}
 
 
 def _key_orders(obj):
@@ -45,30 +46,40 @@ def _key_orders(obj):
     return None
 
 
+def _cfg_shape(graph):
+    return (graph.starts, graph.ends, graph.succs, graph.facts,
+            graph.n_returns, graph.names)
+
+
 def test_collector_tables_align():
-    assert list(_FUSED) == list(_LEGACY)
-    spans_fused = [span for span, _, _ in _PER_FILE_COLLECTORS]
-    spans_legacy = [span for span, _, _ in LEGACY_PER_FILE_COLLECTORS]
-    assert spans_fused == spans_legacy
+    spans = [span for span, _, _ in _PER_FILE_COLLECTORS]
+    assert len(set(spans)) == len(spans)
+    assert len(_FUSED) == len(_PER_FILE_COLLECTORS)
+    for _, key, collect in _PER_FILE_COLLECTORS:
+        # Every collector takes the file alone; its views come from the
+        # file itself, so a fresh copy is a complete, independent input.
+        assert len(inspect.signature(collect).parameters) == 1, key
 
 
 @pytest.mark.parametrize("key", list(_FUSED))
 def test_per_analyzer_fused_equals_legacy(key, corpus_files):
     for source in corpus_files:
+        file_record(source)  # every view already built by the others
         fused = _FUSED[key](source)
-        legacy = _LEGACY[key](fresh_copy(source))
-        assert repr(fused) == repr(legacy), (key, source.path)
-        assert json.dumps(fused) == json.dumps(legacy), (key, source.path)
-        assert _key_orders(fused) == _key_orders(legacy), (key, source.path)
+        reference = _FUSED[key](fresh_copy(source))
+        assert repr(fused) == repr(reference), (key, source.path)
+        assert json.dumps(fused) == json.dumps(reference), (key, source.path)
+        assert _key_orders(fused) == _key_orders(reference), \
+            (key, source.path)
 
 
 def test_file_record_fused_equals_legacy(corpus_files):
     for source in corpus_files:
         fused = file_record(source)
-        legacy = file_record_legacy(fresh_copy(source))
-        assert repr(fused) == repr(legacy), source.path
-        assert json.dumps(fused) == json.dumps(legacy), source.path
-        assert _key_orders(fused) == _key_orders(legacy), source.path
+        reference = reference_record(source)
+        assert repr(fused) == repr(reference), source.path
+        assert json.dumps(fused) == json.dumps(reference), source.path
+        assert _key_orders(fused) == _key_orders(reference), source.path
 
 
 def test_artifact_views_match_legacy_derivations(corpus_files):
@@ -77,17 +88,24 @@ def test_artifact_views_match_legacy_derivations(corpus_files):
     for source in corpus_files:
         art = artifact_for(source)
         fresh = fresh_copy(source)
+        code = [t for t in fresh.tokens if t.is_code()]
         assert [repr(t) for t in art.code_tokens] == [
-            repr(t) for t in fresh.tokens if t.is_code()
+            repr(t) for t in code
+        ], source.path
+        assert art.call_sites == [
+            i for i in range(len(code) - 1)
+            if code[i].kind == TokenKind.IDENT and code[i + 1].text == "("
         ], source.path
         # Class matching fills in each method's ``owner`` on the shared
-        # function table, so derive the legacy table the same way.
+        # function table, so derive the reference table the same way.
         functions = extract_functions(fresh)
         classes = extract_classes(fresh, functions=functions)
         assert repr(art.classes) == repr(classes), source.path
         assert repr(art.classes) == repr(extract_classes(fresh_copy(source)))
         assert repr(art.functions) == repr(functions), source.path
-        assert len(art.cfgs) == len(art.functions)
+        assert [_cfg_shape(g) for g in art.cfgs] == [
+            _cfg_shape(build_cfg(f, fresh)) for f in functions
+        ], source.path
 
 
 def _round_trip(value):
@@ -190,13 +208,19 @@ class TestTreeLevelAnalyzers:
         _, records, live = self._folded(corpus_files)
         assert self._oo(records) == oo.measure_codebase(live)
 
+    def _warmed(self, files):
+        """(a tree whose views ``file_record`` already built, a fresh one)."""
+        warm = Codebase("t", [fresh_copy(f) for f in files])
+        for source in warm.files:
+            file_record(source)
+        return warm, Codebase("t", [fresh_copy(f) for f in files])
+
     def test_rasq(self, corpus_files):
-        cb = Codebase("t", [fresh_copy(f) for f in corpus_files])
-        plain = Codebase("t", [fresh_copy(f) for f in corpus_files])
-        fused = rasq.measure_codebase(cb, artifacts_for(cb))
-        legacy = rasq.measure_codebase(plain)
-        assert fused == legacy
-        assert list(fused.channel_counts) == list(legacy.channel_counts)
+        cb, plain = self._warmed(corpus_files)
+        fused = rasq.measure_codebase(cb)
+        reference = rasq.measure_codebase(plain)
+        assert fused == reference
+        assert list(fused.channel_counts) == list(reference.channel_counts)
 
     def test_attack_graph(self, corpus_files):
         _, records, live = self._folded(corpus_files)
@@ -208,10 +232,8 @@ class TestTreeLevelAnalyzers:
             attack_graph.measure_codebase(live)
 
     def test_dynamic(self, corpus_files):
-        cb = Codebase("t", [fresh_copy(f) for f in corpus_files])
-        plain = Codebase("t", [fresh_copy(f) for f in corpus_files])
-        assert dynamic.measure_codebase(cb, artifacts=artifacts_for(cb)) == \
-            dynamic.measure_codebase(plain)
+        cb, plain = self._warmed(corpus_files)
+        assert dynamic.measure_codebase(cb) == dynamic.measure_codebase(plain)
 
     @pytest.mark.parametrize("name", sorted(EDGE_TREES))
     def test_edge_trees_fold_equals_live(self, name):
@@ -289,14 +311,15 @@ class TestTreeLevelAnalyzers:
 
 def test_merged_row_fused_equals_legacy(corpus_files):
     fused_cb = Codebase("corpus", [fresh_copy(f) for f in corpus_files])
-    legacy_cb = Codebase("corpus", [fresh_copy(f) for f in corpus_files])
+    reference_cb = Codebase("corpus", [fresh_copy(f) for f in corpus_files])
     fused_records = [file_record(f) for f in fused_cb.files]
-    legacy_records = [file_record_legacy(f) for f in legacy_cb.files]
+    reference_records = [reference_record(f) for f in reference_cb.files]
     fused_row = merge_records(fused_cb, fused_records, include_dynamic=True)
-    legacy_row = merge_records(legacy_cb, legacy_records, include_dynamic=True)
-    assert repr(fused_row) == repr(legacy_row)
-    assert list(fused_row) == list(legacy_row)
-    assert json.dumps(fused_row) == json.dumps(legacy_row)
+    reference_row = merge_records(reference_cb, reference_records,
+                                  include_dynamic=True)
+    assert repr(fused_row) == repr(reference_row)
+    assert list(fused_row) == list(reference_row)
+    assert json.dumps(fused_row) == json.dumps(reference_row)
 
 
 def test_rasq_measure_file_matches_single_file_codebase(corpus_files):

@@ -1,17 +1,39 @@
-"""Generic (multi-language) checker tests."""
+"""Generic (multi-language) checker tests.
 
-import pytest
+Every case runs twice: through the test-only reference checker for its
+rule (``bugfind_reference``), and through the product's one-pass
+``generic_checkers.run`` filtered to that rule. The two must report the
+same findings, and the case's assertions then hold for both.
+"""
 
-from repro.bugfind.generic_checkers import (
-    check_dynamic_eval,
-    check_hardcoded_secret,
-    check_permissive_mode,
-    check_sql_concatenation,
-    check_swallowed_exception,
-    check_weak_crypto,
-    run,
-)
+from repro.bugfind.generic_checkers import run
 from repro.lang import SourceFile
+from tests.bugfind import bugfind_reference as ref
+
+
+def _both(check, rule):
+    """``check``'s findings, after requiring ``run`` to agree on ``rule``."""
+    def findings(source):
+        expected = check(source)
+        assert [f for f in run(source) if f.rule == rule] == expected
+        return expected
+    return findings
+
+
+check_hardcoded_secret = _both(ref.check_hardcoded_secret, "hardcoded-secret")
+check_dynamic_eval = _both(ref.check_dynamic_eval, "dynamic-eval")
+check_sql_concatenation = _both(ref.check_sql_concatenation,
+                                "sql-concatenation")
+check_weak_crypto = _both(ref.check_weak_crypto, "weak-crypto")
+check_permissive_mode = _both(ref.check_permissive_mode, "permissive-mode")
+check_swallowed_exception = _both(ref.check_swallowed_exception,
+                                  "swallowed-exception")
+check_unsafe_deserialization = _both(ref.check_unsafe_deserialization,
+                                     "unsafe-deserialization")
+check_insecure_tempfile = _both(ref.check_insecure_tempfile,
+                                "insecure-tempfile")
+check_assert_validation = _both(ref.check_assert_validation,
+                                "assert-validation")
 
 
 def py(text):
@@ -119,20 +141,17 @@ class TestRunner:
 
 class TestDeserialization:
     def test_pickle_loads_flagged(self):
-        from repro.bugfind.generic_checkers import check_unsafe_deserialization
 
         findings = check_unsafe_deserialization(py("obj = pickle.loads(blob)"))
         assert len(findings) == 1
         assert findings[0].cwe == 502
 
     def test_yaml_load_flagged_safe_load_clean(self):
-        from repro.bugfind.generic_checkers import check_unsafe_deserialization
 
         assert check_unsafe_deserialization(py("cfg = yaml.load(t)"))
         assert check_unsafe_deserialization(py("cfg = yaml.safe_load(t)")) == []
 
     def test_java_read_object(self):
-        from repro.bugfind.generic_checkers import check_unsafe_deserialization
 
         findings = check_unsafe_deserialization(
             java("Object o = in.readObject();")
@@ -142,37 +161,31 @@ class TestDeserialization:
 
 class TestTempfile:
     def test_mktemp_flagged(self):
-        from repro.bugfind.generic_checkers import check_insecure_tempfile
 
         findings = check_insecure_tempfile(c("char *t = mktemp(tmpl);"))
         assert len(findings) == 1
         assert findings[0].cwe == 377
 
     def test_tmp_path_literal_flagged(self):
-        from repro.bugfind.generic_checkers import check_insecure_tempfile
 
         assert check_insecure_tempfile(py('path = "/tmp/x.dat"'))
 
     def test_mkstemp_clean(self):
-        from repro.bugfind.generic_checkers import check_insecure_tempfile
 
         assert check_insecure_tempfile(c("int fd = mkstemp(tmpl);")) == []
 
 
 class TestAssertValidation:
     def test_assert_on_input_flagged(self):
-        from repro.bugfind.generic_checkers import check_assert_validation
 
         findings = check_assert_validation(py("assert request.size < 10"))
         assert len(findings) == 1
         assert findings[0].cwe == 617
 
     def test_assert_on_internal_state_clean(self):
-        from repro.bugfind.generic_checkers import check_assert_validation
 
         assert check_assert_validation(py("assert invariant_holds")) == []
 
     def test_non_python_ignored(self):
-        from repro.bugfind.generic_checkers import check_assert_validation
 
         assert check_assert_validation(java("assert request != null;")) == []

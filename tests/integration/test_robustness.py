@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bugfind import run_all
-from repro.core.features import extract_features
+from repro.core.features import extract_features, file_record
 from repro.lang import Codebase, SourceFile
 
 
@@ -63,25 +63,31 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 #: Child process: read {path: text} as JSON on stdin, extract features
-#: and run every checker over it, and report the row's finiteness.
+#: and run every checker over it, and report the row's finiteness. A
+#: single file's ``file_record`` is printed as JSON before the verdict.
 _CHILD = """
 import json, math, sys
 from repro.bugfind import run_all
 from repro.core.features import extract_features, file_record
 from repro.lang import Codebase, SourceFile
 sources = json.load(sys.stdin)
+record = None
 if len(sources) == 1:
     ((path, text),) = sources.items()
-    file_record(SourceFile(path, text))
+    record = file_record(SourceFile(path, text))
 row = extract_features(Codebase.from_sources("bounded", sources))
 run_all(Codebase.from_sources("bounded", sources))
 assert all(math.isfinite(v) for v in row.values())
+print(json.dumps(record))
 print("ok")
 """
 
 
 def _run_bounded(sources):
-    """Extract ``sources`` in a child process under :data:`WALL_BOUND_S`."""
+    """Extract ``sources`` in a child process under :data:`WALL_BOUND_S`.
+
+    Returns the child's ``file_record`` of a single-file input, else None.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(_REPO_ROOT, "src"), env.get("PYTHONPATH", "")])
@@ -92,7 +98,9 @@ def _run_bounded(sources):
     except subprocess.TimeoutExpired:
         pytest.fail(f"extraction did not finish within {WALL_BOUND_S} s")
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "ok"
+    record, verdict = done.stdout.strip().splitlines()
+    assert verdict == "ok"
+    return json.loads(record)
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +194,39 @@ HOSTILE_NESTING = {
 def test_hostile_nesting_finishes(name):
     path, text = HOSTILE_NESTING[name]
     _run_bounded({path: text})
+
+
+#: Files of many small functions or classes, as (path, count, unit):
+#: the file is ``count`` copies of ``unit`` formatted with ``i``. Each
+#: once hit a scan that was quadratic in the function or class count —
+#: Python function bodies, cyclomatic's stray-decision test, and class
+#: method matching — and took longer than the wall bound on a 2-core
+#: host. Each now finishes in about 5–12 s there.
+MANY_UNITS = {
+    "python_many_defs": (
+        "a.py", 12_000,
+        "def f{i}(a):\n    if a:\n        return 1\n    return 0\n"),
+    "c_many_functions": (
+        "a.c", 32_000, "int f{i}(int a) {{ if (a) return 1; return 0; }}\n"),
+    "java_many_classes": (
+        "A.java", 36_000, "class C{i} {{\n  int m(int a) {{ return a; }}\n}}\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANY_UNITS))
+def test_many_functions_or_classes_finish(name):
+    path, count, unit = MANY_UNITS[name]
+    record = _run_bounded(
+        {path: "".join(unit.format(i=i) for i in range(count))})
+    # Every function and class keeps the values it has on its own.
+    one = json.loads(json.dumps(file_record(SourceFile(path, unit.format(i=0)))))
+    assert record["functions"]["n_functions"] == \
+        count * one["functions"]["n_functions"]
+    assert record["cyclomatic"]["values"] == one["cyclomatic"]["values"] * count
+    assert record["cyclomatic"]["total"] == one["cyclomatic"]["total"] * count
+    for key in ("paths", "cyclomatics"):
+        assert record["cfg"][key] == one["cfg"][key] * count
+    assert [fact[1:] for fact in record["calls"]] == \
+        [fact[1:] for fact in one["calls"]] * count
+    assert [cls[1:] for cls in record["oo"]["classes"]] == \
+        [cls[1:] for cls in one["oo"]["classes"]] * count
