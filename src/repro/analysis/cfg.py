@@ -35,7 +35,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lang.parser import FunctionInfo, line_indent
+from repro.lang.parser import FunctionInfo
 from repro.lang.sourcefile import Codebase, SourceFile
 from repro.lang.tokens import Token, TokenKind
 
@@ -670,7 +670,7 @@ _PY_ARMS = frozenset({"elif", "else", "except", "finally", "case"})
 _line_of = attrgetter("line")
 
 
-def _lower_indent(toks: Sequence[Token], lines: List[str], lo: int,
+def _lower_indent(toks: Sequence[Token], line_indents: List[int], lo: int,
                   hi: int) -> CFG:
     """Lower the code lines ``lo..hi`` (1-based, inclusive) to a block CFG.
 
@@ -698,7 +698,7 @@ def _lower_indent(toks: Sequence[Token], lines: List[str], lo: int,
         i += 1
     firsts.append(i)
     m = len(numbers)
-    indents = [line_indent(lines[ln - 1]) for ln in numbers]
+    indents = [line_indents[ln - 1] for ln in numbers]
     words = []
     for k in range(m):
         head = toks[firsts[k]]
@@ -896,7 +896,7 @@ def build_cfg(func: FunctionInfo, source: SourceFile) -> CFG:
     without changing either's output.
     """
     if source.spec.function_style == "indent":
-        return _lower_indent(source.code_tokens, source.lines,
+        return _lower_indent(source.code_tokens, source.indents,
                              func.start_line + 1, func.end_line)
     body = func.body_tokens
     # ``body_tokens`` come from the parser already code-filtered; skip

@@ -22,7 +22,10 @@ that corpus-scale extraction fast and incremental:
   (``on_error="raise"|"skip"|"retry"``), per-task timeouts, and
   worker-crash recovery, plus the generic
   :func:`~repro.engine.scheduler.parallel_map` primitive the corpus
-  builder reuses;
+  builder reuses. ``run``, ``extract_one`` and the gate's
+  ``extract_with_records`` share one extraction path, and every unit
+  (and every engine-pool request in :mod:`repro.serve`) runs through
+  one worker helper, :func:`~repro.engine.scheduler.worker_call`;
 - :mod:`repro.engine.faults` — the fault-injection seam the recovery
   tests drive (inert unless ``REPRO_FAULTS`` is set).
 

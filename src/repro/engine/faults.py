@@ -5,10 +5,12 @@ failure policies, per-task timeouts, worker-crash recovery — are only
 trustworthy if the failure paths are actually exercised. Real analyzer
 failures are hard to stage on demand, so the engine carries this tiny
 failpoint layer instead: when the ``REPRO_FAULTS`` environment variable
-is set, :func:`_execute_task` consults it by *application name* before
-(and after) extracting, and misbehaves on cue. The variable travels
-into worker processes with the rest of the environment, so faults fire
-identically under the serial and process-pool paths.
+is set, :func:`~repro.engine.scheduler.worker_call` consults it by
+*application name* before (and after) running each extraction unit —
+whole app or single file, from ``run``, ``extract_one`` or the gate's
+``extract_with_records`` alike — and misbehaves on cue. The variable
+travels into worker processes with the rest of the environment, so
+faults fire identically under the serial and process-pool paths.
 
 Spec grammar (``;``-separated, one clause per app)::
 

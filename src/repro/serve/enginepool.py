@@ -27,8 +27,10 @@ computed by slot 3 is indistinguishable from one computed by the CLI.
 Worker-side telemetry (spans, counters — cache hits included) is
 captured in the worker's private :mod:`repro.obs` session, stamped with
 the request's trace ID, shipped back, and grafted into the parent
-session, exactly like the extraction scheduler's own process-pool
-workers.
+session by the scheduler's own worker helper,
+:func:`~repro.engine.scheduler.worker_call`: a pool worker runs its
+request through the very function the scheduler's process-pool workers
+run their units through.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.engine import EngineConfig, ExtractionEngine
+from repro.engine.scheduler import worker_call
 from repro.lang import Codebase
 
 #: Default bound on how long a request waits for a free engine before
@@ -86,35 +89,20 @@ def _pool_init(config: EngineConfig) -> None:
     _WORKER_ENGINE = dataclasses.replace(config, workers=1).build()
 
 
-def _pool_call(
-    method: str,
-    codebase: Codebase,
-    kwargs: Dict[str, Any],
-    capture: bool,
-    trace_id: Optional[str],
-) -> Tuple[Any, Optional[List[dict]], Optional[Dict[str, float]]]:
-    """Run one engine method on this worker's engine; ship telemetry home.
+def _engine_call(method: str, codebase: Codebase,
+                 kwargs: Dict[str, Any]) -> Any:
+    """Run one engine method on this worker's engine.
 
     ``method`` names the :class:`~repro.engine.ExtractionEngine` entry
     point (``extract_one`` for ``/analyze``, ``extract_with_records``
-    for ``/gate``). Returns ``(result, span_records, counters)``. With
-    ``capture`` the worker records into a private obs session stamped
-    with the request's ``trace_id`` so the shipped spans stitch into
-    the same request trace after the parent grafts them.
+    for ``/gate``). The parent submits it through the scheduler's
+    :func:`~repro.engine.scheduler.worker_call`, which ships the
+    worker's telemetry home.
     """
     engine = _WORKER_ENGINE
     if engine is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("engine pool worker was not initialised")
-    session = obs.configure(trace_id=trace_id) if capture else None
-    try:
-        result = getattr(engine, method)(codebase, **kwargs)
-    finally:
-        if session is not None:
-            obs.disable()
-    if session is not None:
-        return (result, session.tracer.records(),
-                session.metrics.snapshot()["counters"])
-    return result, None, None
+    return getattr(engine, method)(codebase, **kwargs)
 
 
 # -- parent side ------------------------------------------------------
@@ -250,13 +238,9 @@ class EnginePool:
             capture = obs.is_enabled()
             trace_id = obs.current_trace_id() if capture else None
             with obs.span(span, pool_size=self.size, app=codebase.name):
-                result, spans, counters = self._run(
-                    method, codebase, kwargs, capture, trace_id)
-            if spans:
-                obs.graft_spans(spans)
-            if counters:
-                obs.merge_counters(counters)
-            return result
+                result = self._run(_engine_call, (method, codebase, kwargs),
+                                   capture, trace_id)
+            return result.graft()
         finally:
             with self._state_lock:
                 self._in_use -= 1
@@ -272,7 +256,7 @@ class EnginePool:
         while True:
             executor = self._executor_or_raise()
             try:
-                return executor.submit(_pool_call, *args).result()
+                return executor.submit(worker_call, *args).result()
             except BrokenExecutor:
                 self._rebuild(executor)
 

@@ -341,6 +341,19 @@ class TestExtractOne:
         with pytest.raises(ExtractionError, match="solo"):
             engine.extract_one(cb)
 
+    @pytest.mark.parametrize("method",
+                             ["extract_one", "extract_with_records"])
+    def test_raise_policy_wraps_in_extraction_error(self, monkeypatch,
+                                                    method):
+        # run() lets the raw exception through under "raise"; the
+        # single-codebase entry points raise ExtractionError instead.
+        inject(monkeypatch, "solo=crash")
+        engine = ExtractionEngine(workers=1, on_error="raise")
+        cb = Codebase.from_sources("solo", {"m.py": "x = 1\n"})
+        with pytest.raises(ExtractionError, match="solo") as excinfo:
+            getattr(engine, method)(cb)
+        assert isinstance(excinfo.value.__cause__, InjectedFault)
+
 
 class TestPipelineThreading:
     """Failures flow through build_feature_table without disturbing

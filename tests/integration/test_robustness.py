@@ -230,3 +230,32 @@ def test_many_functions_or_classes_finish(name):
         [fact[1:] for fact in one["calls"]] * count
     assert [cls[1:] for cls in record["oo"]["classes"]] == \
         [cls[1:] for cls in one["oo"]["classes"]] * count
+
+
+#: Python shapes, as (path, text, expected ``functions`` record): one
+#: def with 12,000 parameters, and 1,000 defs each nested one level
+#: deeper than the last. The parser once rescanned the parameter list
+#: for every parameter and every nested block for every def; on a
+#: 2-core host the child then took 74 s and 103 s, past the wall
+#: bound. Each now finishes in about 1 s and 7 s there.
+PYTHON_SHAPES = {
+    "python_many_params": (
+        "a.py",
+        "def f(" + ", ".join(f"p{i}" for i in range(12_000))
+        + "):\n    return p0\n",
+        {"n_functions": 1, "total_params": 12_000, "max_params": 12_000,
+         "max_length": 2, "max_nesting": 0}),
+    "python_nested_defs": (
+        "a.py",
+        "".join("    " * level + f"def f{level}(a):\n"
+                for level in range(1_000)) + "    " * 1_000 + "return a\n",
+        {"n_functions": 1_000, "total_params": 1_000, "max_params": 1,
+         "max_length": 1_001, "max_nesting": 999}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PYTHON_SHAPES))
+def test_python_parser_shapes_finish(name):
+    path, text, expected = PYTHON_SHAPES[name]
+    functions = _run_bounded({path: text})["functions"]
+    assert {key: functions[key] for key in expected} == expected

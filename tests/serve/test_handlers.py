@@ -177,3 +177,27 @@ class TestTelemetry:
         assert "serving:" in report
         assert "/predict" in report
         assert "requests=2" in report
+
+
+class TestExtractionFailure:
+    @pytest.mark.parametrize("path", ["/analyze", "/gate"])
+    def test_injected_crash_answers_extraction_failed(
+            self, store, tmp_path, monkeypatch, path):
+        from repro.engine.faults import FAULTS_ENV
+
+        tree = tmp_path / "boom"
+        tree.mkdir()
+        (tree / "a.c").write_text("int f(void) {\n    return 0;\n}\n")
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        # Set before the pool's workers start, so they inherit it.
+        monkeypatch.setenv(FAULTS_ENV, "boom=crash")
+        server = AsyncPredictionServer(store, port=0, pool_size=1)
+        try:
+            doc = ({"path": str(tree)} if path == "/analyze"
+                   else {"base": str(tree), "head": str(tree)})
+            response, body = call(server, "POST", path, doc)
+        finally:
+            server.stop()
+            obs.disable()
+        assert response.status == 500
+        assert body["error"].startswith("extraction failed — boom")

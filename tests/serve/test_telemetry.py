@@ -166,7 +166,10 @@ class TestAnalyzeSpanTree:
     """Acceptance: one /analyze request exports one connected trace."""
 
     def test_spans_form_one_tree_under_the_request_trace(
-            self, store, tmp_path):
+            self, store, tmp_path, monkeypatch):
+        # An ambient cache (CI engine leg) would answer from a prior
+        # test's row for the same source, and no analyzer would run.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         trace_path = str(tmp_path / "trace.jsonl")
         session = obs.configure(trace_path=trace_path)
         server = AsyncPredictionServer(store, port=0, pool_size=1)

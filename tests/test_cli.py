@@ -369,6 +369,19 @@ class TestFailurePolicyFlags:
         assert "extraction failed" in str(excinfo.value)
         assert "risky" in str(excinfo.value)
 
+    def test_analyze_reports_extraction_failure_under_raise(
+            self, risky_tree, monkeypatch):
+        from repro.engine.faults import FAULTS_ENV
+
+        # The default policy fails fast, but the message is the same
+        # one-line error, not a traceback.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setenv(FAULTS_ENV, "risky=crash")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", risky_tree])
+        assert str(excinfo.value).startswith(
+            "error: extraction failed — risky")
+
     def test_train_exits_nonzero_when_apps_skipped(self, tmp_path,
                                                    monkeypatch, capsys):
         from repro.engine.faults import FAULTS_ENV
