@@ -17,15 +17,16 @@ that corpus-scale extraction fast and incremental:
 - :mod:`repro.engine.config` — the :class:`EngineConfig` value object
   (and shared argparse parent) every CLI command and the public API
   configure the engine through;
-- :mod:`repro.engine.scheduler` — a process-pool scheduler with a
-  serial fallback sharing the same code path, failure policies
-  (``on_error="raise"|"skip"|"retry"``), per-task timeouts, and
-  worker-crash recovery, plus the generic
+- :mod:`repro.engine.scheduler` — the scheduler, with failure
+  policies (``on_error="raise"|"skip"|"retry"``), per-task timeouts
+  and worker-crash recovery, plus the generic
   :func:`~repro.engine.scheduler.parallel_map` primitive the corpus
   builder reuses. ``run``, ``extract_one`` and the gate's
-  ``extract_with_records`` share one extraction path, and every unit
-  (and every engine-pool request in :mod:`repro.serve`) runs through
-  one worker helper, :func:`~repro.engine.scheduler.worker_call`;
+  ``extract_with_records`` share one extraction path, and process
+  lifetime lives in one type,
+  :class:`~repro.engine.scheduler.WorkerPool` (in-process or worker
+  processes, waits with a deadline), which the scheduler,
+  ``parallel_map`` and the engine pool in :mod:`repro.serve` share;
 - :mod:`repro.engine.faults` — the fault-injection seam the recovery
   tests drive (inert unless ``REPRO_FAULTS`` is set).
 

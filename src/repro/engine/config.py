@@ -124,7 +124,8 @@ def engine_options() -> argparse.ArgumentParser:
         help="failure policy for per-app extraction (default: raise)")
     group.add_argument(
         "--task-timeout", type=float, metavar="SECONDS", default=None,
-        help="per-app wall-clock extraction budget (workers > 1 only)")
+        help="per-app wall-clock extraction budget (enforced with "
+             "workers > 1 and by the serve daemon's engine pool)")
     group.add_argument(
         "--max-retries", type=int, metavar="N", default=None,
         help="extra attempts per crashed app with --on-error retry "

@@ -1,14 +1,15 @@
 """Parallel, cache-aware, fault-tolerant execution layer for extraction.
 
-Two layers live here:
+Three layers live here:
 
-- :func:`parallel_map` — a generic ordered fan-out primitive. With
-  ``workers > 1`` it runs the function across a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; with ``workers <= 1``
-  a lazy in-process pool stands in, so the serial fallback exercises the
-  *same* submit/collect code path (results are always merged in input
-  order, never completion order — determinism does not depend on the
-  scheduler's timing).
+- :class:`WorkerPool` — the one process executor: calls run in this
+  process or in worker processes, each through :func:`worker_call`,
+  and a wait may carry a deadline past which the workers are killed.
+  The engine's runs, :func:`parallel_map` and the serving layer's
+  engine pool all run on it.
+- :func:`parallel_map` — a generic ordered fan-out over a
+  :class:`WorkerPool`: results merge in input order, never completion
+  order, so determinism does not depend on the scheduler's timing.
 - :class:`ExtractionEngine` — the feature-extraction scheduler the
   pipeline, CLI, gate and daemon use. Per task it consults the
   content-addressed :class:`~repro.engine.cache.FeatureCache` (when
@@ -19,10 +20,9 @@ Two layers live here:
 Every entry point — :meth:`~ExtractionEngine.run`,
 :meth:`~ExtractionEngine.extract_one` and the gate's
 :meth:`~ExtractionEngine.extract_with_records` — runs one path: plan
-the tasks, drive the units through the pool rounds (failure policy,
-timeout, fault seam, telemetry graft), merge file records, store back.
-Each unit runs through :func:`worker_call`, the one worker-side helper,
-which the serving layer's engine pool also uses.
+the tasks, drive the units through pool rounds on one
+:class:`WorkerPool` per run (failure policy, timeout, fault seam,
+telemetry graft), merge file records, store back.
 
 Incremental extraction
 ----------------------
@@ -79,13 +79,15 @@ explicit ``on_error`` policy:
 
 ``task_timeout`` bounds the wall-clock wait for each task's result
 (enforceable only when the task runs in a worker process; a serial
-in-process task cannot be preempted). A timed-out worker is killed,
-never joined. A worker death (``BrokenProcessPool``) aborts the run
-under ``"raise"``; under ``"skip"``/``"retry"`` it triggers one pool
-rebuild per run — the pool is recreated and every unfinished task
-re-submitted, each alone in its own pool so a repeat offender cannot
-take innocent batch-mates down with it; a suspect that breaks its pool
-again is failed as ``worker-lost``.
+in-process task cannot be preempted, so a timeout puts even a
+one-unit run into a worker). A timed-out task's workers are killed,
+never joined; the units that were in flight beside it re-run on the
+replacement workers, uncharged. A worker death (``BrokenProcessPool``)
+aborts the run under ``"raise"``; under ``"skip"``/``"retry"`` it
+triggers one pool rebuild per run — the workers are replaced and every
+unfinished task re-submitted, each alone, so a repeat offender cannot
+take innocent batch-mates down with it; a suspect that breaks its
+workers again is failed as ``worker-lost``.
 
 Failure observability: ``engine.task_failures`` / ``engine.task_retries``
 / ``engine.pool_rebuilds`` counters, and an ``error=`` attribute on the
@@ -95,13 +97,15 @@ failing task's ``testbed.app`` span.
 from __future__ import annotations
 
 import os
+import threading
 import traceback as traceback_module
 import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar,
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence,
+    Tuple, TypeVar,
 )
 
 from repro import obs
@@ -134,86 +138,6 @@ class ExtractionError(RuntimeError):
 
 class TaskTimeout(ExtractionError):
     """A task exceeded the engine's per-task wall-clock timeout."""
-
-
-class _LazyFuture:
-    """A future that computes on ``result()`` — the serial pool's unit.
-
-    Laziness matters: it keeps execution inside the caller's collect
-    loop (and therefore inside the caller's per-task tracing span),
-    exactly where a process-pool future's wait happens.
-    """
-
-    __slots__ = ("_fn", "_args")
-
-    def __init__(self, fn: Callable[..., R], args: tuple):
-        self._fn = fn
-        self._args = args
-
-    def result(self, timeout: Optional[float] = None) -> R:
-        return self._fn(*self._args)
-
-    def done(self) -> bool:
-        return True
-
-
-class _SerialPool:
-    """Drop-in for ProcessPoolExecutor that runs in-process."""
-
-    def __enter__(self) -> "_SerialPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-    def submit(self, fn: Callable[..., R], *args: Any) -> _LazyFuture:
-        return _LazyFuture(fn, args)
-
-    def shutdown(self, wait: bool = True,
-                 cancel_futures: bool = False) -> None:
-        pass
-
-
-def make_pool(workers: int, n_tasks: int):
-    """The right executor for ``workers`` parallel slots over ``n_tasks``."""
-    if workers <= 1 or n_tasks <= 1:
-        return _SerialPool()
-    return ProcessPoolExecutor(max_workers=min(workers, n_tasks))
-
-
-def _terminate_pool(pool) -> None:
-    """Hard-stop a pool: kill workers, drop queued futures, never wait.
-
-    Used on fatal abort, timeout, and pool breakage — the cases where
-    ``shutdown(wait=True)`` could block forever on a wedged or dead
-    worker. ``_processes`` is executor-private, but killing the workers
-    is the only way to guarantee a hung task cannot stall interpreter
-    exit (the executor's atexit hook joins its workers).
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except (OSError, AttributeError):  # pragma: no cover - racy exit
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - executor already torn down
-        pass
-
-
-def parallel_map(
-    fn: Callable[[T], R], items: Iterable[T], workers: int = 1
-) -> List[R]:
-    """Map ``fn`` over ``items``, fanning out across processes.
-
-    Results come back in input order regardless of completion order.
-    ``fn`` and each item must be picklable when ``workers > 1``.
-    """
-    items = list(items)
-    with make_pool(workers, len(items)) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
 
 
 @dataclass(frozen=True)
@@ -300,16 +224,13 @@ def worker_call(fn: Callable[..., R], args: tuple, capture: bool = False,
                 app: Optional[str] = None) -> _WorkerResult:
     """Run ``fn(*args)`` as one unit of work; ship its telemetry home.
 
-    Module-level so it pickles into worker processes: the scheduler's
-    pool workers and the serving layer's engine-pool workers both run
-    their work through it. With ``app`` the ``REPRO_FAULTS`` seam
-    (:mod:`repro.engine.faults`) fires first. ``capture`` is set only
-    when the call runs in another process under an active parent
-    session: ``fn`` then records into a private session that adopts
-    ``trace_id`` (the scheduling request's trace ID), so the spans and
-    counters it returns stitch into the parent's trace after
-    :meth:`_WorkerResult.graft`. In-process calls leave it False and
-    their spans land directly, nested, in the caller's session.
+    Module-level so it pickles into workers: :class:`WorkerPool` runs
+    every call through it. With ``app`` the ``REPRO_FAULTS`` seam
+    (:mod:`repro.engine.faults`) fires first. With ``capture`` (a
+    worker call under an active parent session) ``fn`` records into a
+    private session under ``trace_id``, whose spans and counters
+    :meth:`_WorkerResult.graft` stitches into the parent's trace;
+    in-process calls record straight into the caller's session.
     """
     fault = faults.active_fault(app) if app is not None else None
     if fault is not None:
@@ -326,6 +247,144 @@ def worker_call(fn: Callable[..., R], args: tuple, capture: bool = False,
     if fault is not None and fault.kind == "poison":
         result.poison = faults.Unpicklable()
     return result
+
+
+class _Job(NamedTuple):
+    """A call submitted to a :class:`WorkerPool`: its future and the
+    executor it went to, or the in-process :func:`worker_call` args."""
+
+    future: Optional[Future]
+    executor: Optional[ProcessPoolExecutor]
+    call: tuple = ()
+
+
+class WorkerPool:
+    """Process lifetime for calls: in this process or in workers.
+
+    With ``processes == 0`` each call runs in-process and lazily, inside
+    :meth:`wait` and so inside the caller's span, where a worker's wait
+    would be. Otherwise one ProcessPoolExecutor of ``processes`` workers
+    (each running ``initializer(*initargs)`` first) runs them, started
+    on the first submit and replaced on the next after a :meth:`kill`.
+    The pool is mechanism only (callers own retry, blame and rebuild
+    budgets) and thread-safe: the daemon submits from many threads.
+    """
+
+    def __init__(self, processes: int = 0,
+                 initializer: Optional[Callable[..., None]] = None,
+                 initargs: tuple = ()):
+        self.processes = processes
+        self._initializer = initializer
+        self._initargs = initargs
+        self._lock = threading.Lock()
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._closed = False
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:  # an abort must never wait on a wedged or dead worker
+            self.kill()
+
+    def submit(self, fn: Callable[..., R], args: tuple,
+               app: Optional[str] = None) -> _Job:
+        """Start ``fn(*args)`` through :func:`worker_call`.
+
+        ``app`` names the unit for the ``REPRO_FAULTS`` seam. A submit
+        to broken workers returns a job whose wait raises the break.
+        """
+        if self.processes <= 0:
+            return _Job(None, None, (fn, args, False, None, app))
+        capture = obs.is_enabled()
+        # The trace identity workers inherit: the daemon's per-request
+        # scope or the CLI's per-invocation default.
+        trace_id = obs.current_trace_id() if capture else None
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    self.processes, initializer=self._initializer,
+                    initargs=self._initargs)
+            executor = self._executor
+            try:
+                future = executor.submit(worker_call, fn, args, capture,
+                                         trace_id, app)
+            except BrokenExecutor as exc:
+                future = Future()
+                future.set_exception(exc)
+        return _Job(future, executor)
+
+    def wait(self, job: _Job, timeout: Optional[float] = None) -> Any:
+        """The call's value, its telemetry grafted into this session.
+
+        Past ``timeout`` (worker jobs only: an in-process call cannot be
+        preempted) the workers are killed and :class:`TaskTimeout` is
+        raised. BrokenExecutor and the call's own exceptions pass
+        through unchanged.
+        """
+        if job.future is None:
+            return worker_call(*job.call).graft()
+        try:
+            result = job.future.result(timeout=timeout)
+        except FutureTimeout:
+            if not job.future.done():
+                self.kill(job)
+                raise TaskTimeout(f"no result within {timeout:g}s") from None
+            # Done at the deadline, or the call itself raised TimeoutError.
+            result = job.future.result()
+        return result.graft()
+
+    def kill(self, job: Optional[_Job] = None) -> bool:
+        """Kill the workers without waiting; their calls fail as broken.
+
+        With ``job``, only the workers it went to, and False when they
+        were already replaced: two calls that saw one death kill once.
+        ``_processes`` is executor-private, but killing is the only way
+        to keep a hung call from stalling interpreter exit.
+        """
+        with self._lock:
+            executor = self._executor
+            if executor is None or (job is not None
+                                    and job.executor is not executor):
+                return False
+            self._executor = None
+        processes = getattr(executor, "_processes", None) or {}
+        for process in list(processes.values()):
+            try:
+                process.kill()
+            except (OSError, AttributeError):  # pragma: no cover - racy exit
+                pass
+        # No cancel_futures: queued calls then fail with BrokenExecutor
+        # like running ones, not with CancelledError.
+        executor.shutdown(wait=False)
+        return True
+
+    def close(self) -> None:
+        """Shut down gracefully: running calls finish; no more submits."""
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+
+def parallel_map(
+    fn: Callable[[T], R], items: Iterable[T], workers: int = 1
+) -> List[R]:
+    """Map ``fn`` over ``items``, fanning out across processes.
+
+    Results come back in input order regardless of completion order.
+    ``fn`` and each item must be picklable when ``workers > 1``.
+    """
+    items = list(items)
+    processes = min(workers, len(items))
+    with WorkerPool(processes if processes > 1 else 0) as pool:
+        jobs = [pool.submit(fn, (item,)) for item in items]
+        return [pool.wait(job) for job in jobs]
 
 
 def _extract_app(task: ExtractionTask, want_records: bool
@@ -415,14 +474,17 @@ class _Run:
 
 @dataclass
 class _RoundOutcome:
-    """What one pool round produced besides successful rows."""
+    """What one pool round produced besides successful rows.
+
+    ``suspects`` were unfinished when a worker died; ``requeue`` were
+    killed beside a timed-out unit, and re-run uncharged.
+    """
 
     errors: Dict[int, Tuple[str, BaseException, str]] = field(
         default_factory=dict)
-    lost: List[int] = field(default_factory=list)
-    unfinished: List[int] = field(default_factory=list)
-    broken: bool = False
-    broken_exc: Optional[BaseException] = None
+    suspects: List[int] = field(default_factory=list)
+    requeue: List[int] = field(default_factory=list)
+    broken: Optional[BaseException] = None  # the break, if one happened
 
 
 def _format_tb(exc: BaseException) -> str:
@@ -447,11 +509,9 @@ class ExtractionEngine:
         max_retries: extra attempts per crashed task under ``"retry"``.
 
     The engine is a reusable handle: configuration is immutable after
-    construction and each :meth:`run` builds its own pool, so one
-    engine can serve many sequential runs (the serving layer shares a
-    single handle across all ``/analyze`` requests, behind a lock only
-    because the obs tracer is single-threaded — the engine itself keeps
-    no per-run state).
+    construction and each :meth:`run` opens its own :class:`WorkerPool`,
+    so one engine serves many sequential runs (each engine-pool worker
+    in the daemon reuses one engine across requests).
     """
 
     def __init__(self, workers: int = 1,
@@ -675,7 +735,14 @@ class ExtractionEngine:
                                 for pos in plan.recompute)
                             continue
                 state.units.append(_Unit(task_index=index))
-            self._run_pending(state)
+            # One pool per run: worker processes when there is more than
+            # one unit or a deadline (an in-process unit cannot be
+            # preempted), else this process.
+            processes = self.workers > 1 and (
+                len(state.units) > 1 or self.task_timeout is not None)
+            with WorkerPool(min(self.workers, len(state.units))
+                            if processes else 0) as pool:
+                self._run_pending(state, pool)
             self._merge_files(state)
             if state.failures:
                 extract_span.set_attr("failures", len(state.failures))
@@ -817,7 +884,7 @@ class ExtractionEngine:
 
     # -- failure-policy machinery -------------------------------------
 
-    def _run_pending(self, state: _Run) -> None:
+    def _run_pending(self, state: _Run, pool: WorkerPool) -> None:
         """Drive the scheduled units to completion or recorded failure.
 
         ``state.units`` mixes whole-app and per-file work; positions
@@ -843,24 +910,25 @@ class ExtractionEngine:
                 and 0 < attempts[pos] == self.max_retries
             }
             pooled = [pos for pos in queue if pos not in last_rung]
-            # A worker-lost suspect re-runs *alone* in its own pool: if
-            # it kills its worker again, the blame cannot spill onto
-            # innocent batch-mates that merely shared the broken pool.
+            # A worker-lost suspect re-runs *alone*: if it kills its
+            # worker again, the blame cannot spill onto innocent
+            # batch-mates that merely shared the broken workers.
             grouped = [p for p in pooled
                        if last_kind.get(p) != "worker-lost"]
-            rounds: List[Tuple[List[int], Dict[str, bool]]] = (
-                [(grouped, {})] if grouped else [])
-            rounds.extend(([p], {"force_processes": True}) for p in pooled
-                          if last_kind.get(p) == "worker-lost")
-            if last_rung:
-                rounds.append((sorted(last_rung), {"serial": True}))
+            rounds = [(grouped, False)]
+            rounds += [([p], False) for p in pooled
+                       if last_kind.get(p) == "worker-lost"]
+            rounds.append((sorted(last_rung), True))
             queue = []
-            for batch, mode in rounds:
+            for batch, serial in rounds:
                 batch = [pos for pos in batch
                          if units[pos].task_index not in failures]
                 if not batch:
                     continue
-                outcome = self._pool_round(state, batch, attempts, **mode)
+                outcome = self._pool_round(
+                    state, batch, attempts,
+                    WorkerPool() if serial else pool, serial)
+                queue.extend(outcome.requeue)
                 for pos, (kind, exc, tb) in outcome.errors.items():
                     attempts[pos] += 1
                     last_kind[pos] = kind
@@ -881,8 +949,8 @@ class ExtractionEngine:
                     if self.on_error == "raise":
                         # Fail-fast: a dead worker aborts the run (pool
                         # rebuilding is a skip/retry amenity).
-                        raise outcome.broken_exc
-                    suspects = outcome.lost + outcome.unfinished
+                        raise outcome.broken
+                    suspects = outcome.suspects
                     for pos in suspects:
                         attempts[pos] += 1
                         last_kind[pos] = "worker-lost"
@@ -899,12 +967,11 @@ class ExtractionEngine:
                             unit = units[pos]
                             self._record_failure(
                                 state, unit.task_index, "worker-lost",
-                                outcome.broken_exc, "", attempts[pos],
+                                outcome.broken, "", attempts[pos],
                                 unit.file)
 
-    def _submit(self, pool: Any, state: _Run, unit: _Unit, capture: bool,
-                trace_id: Optional[str]) -> Any:
-        """Submit one unit to ``pool`` through :func:`worker_call`."""
+    def _submit(self, pool: WorkerPool, state: _Run, unit: _Unit) -> _Job:
+        """Submit one unit to ``pool``."""
         task = state.tasks[unit.task_index]
         if unit.source is not None:
             fn, args = _extract_file, (task.name, unit.source)
@@ -914,106 +981,60 @@ class ExtractionEngine:
             want_records = (state.with_records
                             or unit.task_index in state.plans)
             fn, args = _extract_app, (task, want_records)
-        return pool.submit(worker_call, fn, args, capture, trace_id,
-                           task.name)
+        return pool.submit(fn, args, task.name)
 
     def _pool_round(
         self,
         state: _Run,
         positions: List[int],
         attempts: Dict[int, int],
-        force_processes: bool = False,
+        pool: WorkerPool,
         serial: bool = False,
     ) -> _RoundOutcome:
-        """Submit unit ``positions`` to one pool, collect in unit order.
+        """Submit unit ``positions`` to ``pool``, collect in unit order.
 
         Successes are stored (row/record, cache, telemetry graft) here;
         every kind of failure is classified into the returned outcome
-        for the policy loop to act on. ``force_processes`` keeps a
-        suspected worker-killer out of the scheduler's own process even
-        when the batch is a single unit; a configured timeout forces
-        processes too, because a serial unit cannot be preempted.
-        ``serial`` runs the round in this process whatever the rest.
+        for the policy loop to act on. Broken workers are replaced
+        before returning, so the next round starts on fresh ones.
+        ``serial`` marks the retry ladder's in-process last rung.
         """
-        use_processes = not serial and self.workers > 1 and (
-            len(positions) > 1 or force_processes
-            or self.task_timeout is not None)
-        if use_processes:
-            pool: Any = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(positions)))
-        else:
-            pool = _SerialPool()
-        capture = use_processes and obs.is_enabled()
-        # The trace identity workers inherit, resolved once per round:
-        # the daemon's per-request scope or the CLI's per-invocation
-        # default, whichever governs this call.
-        trace_id = obs.current_trace_id() if capture else None
         outcome = _RoundOutcome()
-        timed_out = False
-        completed_normally = False
-        try:
-            futures: List[Tuple[int, Any]] = []
-            try:
-                for pos in positions:
-                    futures.append(
-                        (pos, self._submit(pool, state, state.units[pos],
-                                           capture, trace_id)))
-            except BrokenExecutor as exc:
-                outcome.broken = True
-                outcome.broken_exc = exc
-                submitted = {pos for pos, _ in futures}
-                outcome.unfinished.extend(
-                    pos for pos in positions if pos not in submitted)
-            for pos, future in futures:
-                unit = state.units[pos]
-                task = state.tasks[unit.task_index]
-                span_attrs: Dict[str, Any] = dict(
-                    app=task.name, cached=False,
-                    attempt=attempts[pos] + 1)
-                if unit.source is not None:
-                    span_attrs["file"] = unit.file
-                if serial:
-                    span_attrs["serial_retry"] = True
-                with obs.span("testbed.app", **span_attrs) as app_span:
-                    try:
-                        if outcome.broken:
-                            result = future.result(
-                                timeout=_POST_BREAK_GRACE)
-                        elif (use_processes
-                                and self.task_timeout is not None):
-                            result = future.result(
-                                timeout=self.task_timeout)
-                        else:
-                            result = future.result()
-                    except Exception as exc:
-                        if isinstance(exc, BrokenExecutor):
-                            app_span.set_attr("error", type(exc).__name__)
-                            if outcome.broken:
-                                outcome.unfinished.append(pos)
-                            else:
-                                outcome.broken = True
-                                outcome.broken_exc = exc
-                                outcome.lost.append(pos)
-                            continue
-                        if (isinstance(exc, FutureTimeout)
-                                and not future.done()):
-                            if outcome.broken:
-                                # post-break grace expired: lost work
-                                app_span.set_attr(
-                                    "error", "BrokenProcessPool")
-                                outcome.unfinished.append(pos)
-                                continue
-                            timed_out = True
-                            app_span.set_attr("error", "TaskTimeout")
-                            timeout_exc = TaskTimeout(
-                                f"{task.name}: no result within "
-                                f"{self.task_timeout:g}s")
-                            if self.on_error == "raise":
-                                raise timeout_exc from exc
-                            outcome.errors[pos] = (
-                                "timeout", timeout_exc, "")
-                            continue
-                        app_span.set_attr("error", type(exc).__name__)
+        killed = False
+        jobs = [(pos, self._submit(pool, state, state.units[pos]))
+                for pos in positions]
+        for pos, job in jobs:
+            unit = state.units[pos]
+            task = state.tasks[unit.task_index]
+            span_attrs: Dict[str, Any] = dict(
+                app=task.name, cached=False, attempt=attempts[pos] + 1)
+            if unit.source is not None:
+                span_attrs["file"] = unit.file
+            if serial:
+                span_attrs["serial_retry"] = True
+            with obs.span("testbed.app", **span_attrs) as app_span:
+                try:
+                    value = pool.wait(job, _POST_BREAK_GRACE
+                                      if outcome.broken
+                                      else self.task_timeout)
+                except Exception as exc:
+                    app_span.set_attr("error", type(exc).__name__)
+                    lost_work = isinstance(exc, (BrokenExecutor,
+                                                 TaskTimeout))
+                    if lost_work and outcome.broken:
+                        outcome.suspects.append(pos)
+                    elif lost_work and killed:
+                        outcome.requeue.append(pos)
+                    elif isinstance(exc, BrokenExecutor):
+                        outcome.broken = exc
+                        outcome.suspects.append(pos)
+                    elif isinstance(exc, TaskTimeout):
+                        killed = True
+                        timeout_exc = TaskTimeout(f"{task.name}: {exc}")
+                        if self.on_error == "raise":
+                            raise timeout_exc from exc
+                        outcome.errors[pos] = ("timeout", timeout_exc, "")
+                    else:
                         if self.on_error == "raise":
                             self._record_failure(
                                 state, unit.task_index, "crash", exc,
@@ -1022,20 +1043,13 @@ class ExtractionEngine:
                             raise
                         outcome.errors[pos] = (
                             "crash", exc, _format_tb(exc))
-                        continue
-                    value = result.graft()
-                if unit.source is not None:
-                    state.plans[unit.task_index].records[unit.file_pos] = (
-                        value)
-                else:
-                    self._store(state, unit.task_index, *value)
-            completed_normally = True
-        finally:
-            if not completed_normally or timed_out or outcome.broken:
-                # Fatal abort, hung worker, or dead worker: never wait.
-                _terminate_pool(pool)
+                    continue
+            if unit.source is not None:
+                state.plans[unit.task_index].records[unit.file_pos] = value
             else:
-                pool.shutdown(wait=True)
+                self._store(state, unit.task_index, *value)
+        if outcome.broken:
+            pool.kill()
         return outcome
 
     @staticmethod

@@ -7,7 +7,9 @@ each pool slot is a long-lived worker **process** owning its
 own :class:`~repro.engine.ExtractionEngine` (built from the same
 :class:`~repro.engine.EngineConfig` the CLI resolves), so N requests
 extract genuinely in parallel — separate interpreters, no GIL
-contention — while the (N+1)-th waits for a slot.
+contention — while the (N+1)-th waits for a slot. The workers are the
+engine's own :class:`~repro.engine.scheduler.WorkerPool`, the process
+executor the scheduler's runs use too.
 
 Checkout semantics are shed-don't-collapse: a request that cannot
 obtain a slot within ``checkout_timeout`` seconds is refused with
@@ -15,9 +17,12 @@ obtain a slot within ``checkout_timeout`` seconds is refused with
 ``Retry-After``. The wait itself is observable
 (``serve.pool.wait.seconds``), as are the shed count
 (``serve.pool.shed``), the live occupancy gauge (``serve.pool.in_use``),
-and one-per-lifetime executor rebuilds after a worker death
+and one-per-lifetime worker rebuilds after a worker death
 (``serve.pool.rebuilds``). A second death leaves the pool broken, which
-``/healthz`` reports as ``status: "degraded"``.
+``/healthz`` reports as ``status: "degraded"``. The configured
+``task_timeout`` is each request's deadline: past it the workers are
+killed and replaced (without spending the rebuild budget) and the
+request fails with :class:`~repro.engine.TaskTimeout`.
 
 Byte-identity is preserved by construction: a pool worker runs the very
 same ``ExtractionEngine.extract_one`` the offline CLI runs (serial
@@ -27,23 +32,22 @@ computed by slot 3 is indistinguishable from one computed by the CLI.
 Worker-side telemetry (spans, counters — cache hits included) is
 captured in the worker's private :mod:`repro.obs` session, stamped with
 the request's trace ID, shipped back, and grafted into the parent
-session by the scheduler's own worker helper,
-:func:`~repro.engine.scheduler.worker_call`: a pool worker runs its
-request through the very function the scheduler's process-pool workers
-run their units through.
+session by :func:`~repro.engine.scheduler.worker_call`, the helper
+every worker call runs through.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.engine import EngineConfig, ExtractionEngine
-from repro.engine.scheduler import worker_call
+from repro.engine import EngineConfig, ExtractionEngine, TaskTimeout
+from repro.engine.scheduler import WorkerPool
 from repro.lang import Codebase
 
 #: Default bound on how long a request waits for a free engine before
@@ -76,17 +80,18 @@ class PoolSaturated(Exception):
 _WORKER_ENGINE: Optional[ExtractionEngine] = None
 
 
-def _pool_init(config: EngineConfig) -> None:
-    """Executor initializer: build this worker's private engine.
+def _slot_config(config: EngineConfig) -> EngineConfig:
+    """One slot's engine: ``workers=1``, since the slot is the unit of
+    parallelism (nested pools would oversubscribe the host), and no
+    ``task_timeout``, which a serial engine cannot enforce and the pool
+    does. The cache carries over: all slots share one warm cache."""
+    return dataclasses.replace(config, workers=1, task_timeout=None)
 
-    The engine is forced to ``workers=1`` — the pool slot is the unit
-    of parallelism, so a pooled engine extracting through a nested
-    process pool would only oversubscribe the host. Cache configuration
-    (filesystem or shared SQLite) carries over unchanged: all slots
-    share one warm cache exactly like concurrent CLI runs do.
-    """
+
+def _pool_init(config: EngineConfig) -> None:
+    """Worker initializer: build this worker's private engine."""
     global _WORKER_ENGINE
-    _WORKER_ENGINE = dataclasses.replace(config, workers=1).build()
+    _WORKER_ENGINE = _slot_config(config).build()
 
 
 def _engine_call(method: str, codebase: Codebase,
@@ -95,14 +100,9 @@ def _engine_call(method: str, codebase: Codebase,
 
     ``method`` names the :class:`~repro.engine.ExtractionEngine` entry
     point (``extract_one`` for ``/analyze``, ``extract_with_records``
-    for ``/gate``). The parent submits it through the scheduler's
-    :func:`~repro.engine.scheduler.worker_call`, which ships the
-    worker's telemetry home.
+    for ``/gate``).
     """
-    engine = _WORKER_ENGINE
-    if engine is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("engine pool worker was not initialised")
-    return getattr(engine, method)(codebase, **kwargs)
+    return getattr(_WORKER_ENGINE, method)(codebase, **kwargs)
 
 
 # -- parent side ------------------------------------------------------
@@ -114,7 +114,8 @@ class EnginePool:
 
     Args:
         config: the engine shape every slot builds (workers forced to
-            1 per slot; cache/failure knobs carry over).
+            1 per slot; cache/failure knobs carry over; ``task_timeout``
+            is each request's deadline, enforced by the pool).
         size: number of engine slots — the daemon's concurrent
             ``/analyze`` extraction bound.
         checkout_timeout: seconds a request may wait for a free slot
@@ -122,11 +123,11 @@ class EnginePool:
 
     The pool is thread-safe: handler threads call
     :meth:`extract_one` concurrently; a semaphore bounds occupancy and
-    the shared :class:`~concurrent.futures.ProcessPoolExecutor` (one
-    worker per slot) runs the extractions. A worker death rebuilds the
-    executor once per pool lifetime (``serve.pool.rebuilds``); a second
-    breakage marks the pool broken (see :meth:`describe`) and every
-    later extraction raises.
+    a :class:`~repro.engine.scheduler.WorkerPool` of one worker per
+    slot runs the extractions. A worker death replaces the workers once
+    per pool lifetime (``serve.pool.rebuilds``); a second death marks
+    the pool broken (see :meth:`describe`) and every later extraction
+    raises.
     """
 
     def __init__(
@@ -147,40 +148,29 @@ class EnginePool:
         self._in_use = 0
         self._rebuilds_left = 1
         self._broken = False
-        self._closed = False
-        self._executor = self._make_executor()
+        self._workers = WorkerPool(self.size, _pool_init, (self.config,))
         # Resolved once: /healthz asks for this on every probe, and
         # building an engine (cache backend included) per probe would
         # be wasteful.
-        self._engine_shape = dataclasses.replace(
-            self.config, workers=1).build().describe()
-
-    def _make_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.size,
-            initializer=_pool_init,
-            initargs=(self.config,),
-        )
+        self._engine_shape = dict(
+            _slot_config(self.config).build().describe(),
+            task_timeout=self.config.task_timeout)
 
     # -- lifecycle ----------------------------------------------------
 
     def prestart(self) -> None:
         """Spawn and initialise every worker now, not on first request.
 
-        ProcessPoolExecutor spawns workers on demand; a daemon that
-        warms the pool at boot pays import/fork cost once, before
-        traffic, instead of on the first N requests.
+        A daemon that warms the pool at boot pays import/fork cost
+        once, before traffic, instead of on the first N requests.
         """
-        list(self._executor.map(_noop, range(self.size)))
+        jobs = [self._workers.submit(os.getpid, ()) for _ in range(self.size)]
+        for job in jobs:
+            self._workers.wait(job)
 
     def close(self) -> None:
-        """Shut the executor down; in-flight extractions finish first."""
-        with self._state_lock:
-            if self._closed:
-                return
-            self._closed = True
-            executor = self._executor
-        executor.shutdown(wait=True, cancel_futures=True)
+        """Shut the workers down; in-flight extractions finish first."""
+        self._workers.close()
 
     # -- extraction ---------------------------------------------------
 
@@ -235,59 +225,52 @@ class EnginePool:
             self._in_use += 1
             obs.gauge("serve.pool.in_use", self._in_use)
         try:
-            capture = obs.is_enabled()
-            trace_id = obs.current_trace_id() if capture else None
             with obs.span(span, pool_size=self.size, app=codebase.name):
-                result = self._run(_engine_call, (method, codebase, kwargs),
-                                   capture, trace_id)
-            return result.graft()
+                return self._run((method, codebase, kwargs), codebase.name)
         finally:
             with self._state_lock:
                 self._in_use -= 1
                 obs.gauge("serve.pool.in_use", self._in_use)
             self._slots.release()
 
-    def _run(self, *args):
-        """Submit to the executor, rebuilding it after a worker death.
+    def _run(self, args: tuple, name: str) -> Any:
+        """Run one request in a worker, resubmitting after a death.
 
-        A retry runs on the rebuilt executor; when the rebuild budget
-        is spent, :meth:`_rebuild` marks the pool broken and raises.
+        Past the configured ``task_timeout`` the wait kills the workers
+        and the request fails with :class:`TaskTimeout`; the requests
+        in flight beside it resubmit, as after a death. A retry runs on
+        the replacement workers; when the rebuild budget is spent,
+        :meth:`_rebuild` marks the pool broken and raises.
         """
         while True:
-            executor = self._executor_or_raise()
+            with self._state_lock:
+                if self._broken:
+                    raise RuntimeError(_BROKEN_MESSAGE)
+            job = self._workers.submit(_engine_call, args)
             try:
-                return executor.submit(worker_call, *args).result()
+                return self._workers.wait(job, self.config.task_timeout)
+            except TaskTimeout as exc:
+                raise TaskTimeout(f"{name}: {exc}") from None
             except BrokenExecutor:
-                self._rebuild(executor)
+                self._rebuild(job)
 
-    def _executor_or_raise(self) -> ProcessPoolExecutor:
-        with self._state_lock:
-            if self._closed:
-                raise RuntimeError("engine pool is closed")
-            if self._broken:
-                raise RuntimeError(_BROKEN_MESSAGE)
-            return self._executor
+    def _rebuild(self, job) -> None:
+        """Replace the workers ``job`` died on, once per pool lifetime.
 
-    def _rebuild(self, broken: ProcessPoolExecutor) -> None:
-        """Replace a broken executor, at most once per pool lifetime.
-
-        A no-op when another request already replaced ``broken``: two
-        requests in flight on one dead executor are one worker death,
-        not two.
+        A no-op when they were already replaced — by another request
+        that saw the same death, or by a deadline kill: two requests in
+        flight on one dead executor are one worker death, not two, and
+        a deadline kill is no death at all.
         """
         with self._state_lock:
-            if self._closed:
-                raise RuntimeError("engine pool is closed")
-            if self._executor is not broken:
+            if not self._workers.kill(job):
                 return
             if self._rebuilds_left <= 0:
                 self._broken = True
                 raise RuntimeError(_BROKEN_MESSAGE)
             self._rebuilds_left -= 1
-            self._executor = self._make_executor()
         obs.incr("serve.pool.rebuilds")
         obs.event("serve.pool.rebuild", size=self.size)
-        broken.shutdown(wait=False, cancel_futures=True)
 
     # -- identity -----------------------------------------------------
 
@@ -312,7 +295,3 @@ class EnginePool:
                 "engine": dict(self._engine_shape),
             }
 
-
-def _noop(_: int) -> None:
-    """Warm-up unit for :meth:`EnginePool.prestart`."""
-    return None

@@ -25,6 +25,7 @@ the server has one configured.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
@@ -271,6 +272,20 @@ def _handle_predict(app, doc: dict, ctx: RequestContext) -> Response:
         200, {"model": model_name, "predictions": predictions})
 
 
+@contextmanager
+def _pool_errors(ctx: RequestContext):
+    """Answer the engine pool's refusals: shed is 503, failure 500."""
+    try:
+        yield
+    except PoolSaturated as exc:
+        ctx.shed = True
+        raise HTTPError(
+            503, str(exc),
+            headers=[("Retry-After", str(exc.retry_after))])
+    except ExtractionError as exc:
+        raise HTTPError(500, f"extraction failed — {exc}")
+
+
 def _handle_analyze(app, doc: dict, ctx: RequestContext) -> Response:
     model, _ = _select_model(ctx, doc, required=False)
     dynamic = doc.get("dynamic", False)
@@ -297,15 +312,8 @@ def _handle_analyze(app, doc: dict, ctx: RequestContext) -> Response:
                 400, f"no recognised source files under {path!r}")
         # The request's thread-bound trace ID rides into the pool
         # worker process that runs the extraction.
-        try:
+        with _pool_errors(ctx):
             row = app.pool.extract_one(codebase, include_dynamic=dynamic)
-        except PoolSaturated as exc:
-            ctx.shed = True
-            raise HTTPError(
-                503, str(exc),
-                headers=[("Retry-After", str(exc.retry_after))])
-        except ExtractionError as exc:
-            raise HTTPError(500, f"extraction failed — {exc}")
         results.append(analysis_payload(codebase, row, model))
     if not batched:
         return _json_response(200, results[0])
@@ -361,20 +369,13 @@ def _handle_gate(app, doc: dict, ctx: RequestContext) -> Response:
         raise HTTPError(
             400, f"no recognised source files under head tree "
                  f"{head_spec!r}")
-    try:
+    with _pool_errors(ctx):
         if len(base) == 0:
             row_base: Dict[str, float] = {}
             records_base: List[dict] = []
         else:
             row_base, records_base = app.pool.extract_with_records(base)
         row_head, records_head = app.pool.extract_with_records(head)
-    except PoolSaturated as exc:
-        ctx.shed = True
-        raise HTTPError(
-            503, str(exc),
-            headers=[("Retry-After", str(exc.retry_after))])
-    except ExtractionError as exc:
-        raise HTTPError(500, f"extraction failed — {exc}")
     report = build_gate_report(
         base, head, row_base, records_base, row_head, records_head,
         model=model, threshold=float(threshold))

@@ -251,6 +251,7 @@ class TestPauseSemantics:
             row = pool.extract_one(mixed_codebase)
             assert row["size.sample_loc"] > 0
             # One slot, so this runs on the worker that just extracted.
-            assert pool._executor.submit(gc.isenabled).result(timeout=30)
+            workers = pool._workers
+            assert workers.wait(workers.submit(gc.isenabled, ()), 30)
         finally:
             pool.close()

@@ -163,3 +163,47 @@ class TestExtractOne:
         assert row["size.kloc"] == 250.0
         # a different kloc is a different cache key, not a stale hit
         assert engine.extract_one(cb, nominal_kloc=9.0)["size.kloc"] == 9.0
+
+
+class TestForks:
+    """Fault-free runs start as many executors as they need, no more."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.engine import scheduler
+
+        made = []
+
+        class Counting(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", Counting)
+        return made
+
+    def _codebase(self, name):
+        return Codebase.from_sources(name, {
+            "m.c": "int f(void) {\n    return 1;\n}\n",
+            "n.py": "def g(x):\n    return x\n",
+        })
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_extract_one_stays_in_process(self, constructions, tmp_path,
+                                          cached):
+        cache = FeatureCache(str(tmp_path / "cache")) if cached else None
+        engine = ExtractionEngine(workers=2, cache=cache)
+        assert engine.extract_one(self._codebase("one"))
+        assert constructions == []
+
+    def test_run_starts_one_executor(self, constructions):
+        from repro.engine import ExtractionTask
+
+        tasks = [ExtractionTask(name=f"app-{i}",
+                                codebase=self._codebase(f"app-{i}"))
+                 for i in range(4)]
+        report = ExtractionEngine(workers=2).run(tasks)
+        assert all(row is not None for row in report.rows)
+        assert len(constructions) == 1

@@ -176,3 +176,91 @@ class TestWorkerDeath:
         finally:
             server.stop()
             obs.disable()
+
+
+def _tree(tmp_path, name):
+    directory = tmp_path / name
+    directory.mkdir()
+    (directory / "app.c").write_text(SOURCE)
+    return Codebase.from_directory(str(directory))
+
+
+class TestDeadline:
+    def test_hung_request_times_out_and_keeps_the_rebuild_budget(
+            self, tmp_path, monkeypatch):
+        """The configured task_timeout is each request's deadline: the
+        hung worker is killed, and the kill is not a worker death."""
+        import time
+        import warnings
+
+        from repro.engine import TaskTimeout
+
+        slow, healthy = _tree(tmp_path, "slow-app"), _tree(tmp_path, "app")
+        direct = EngineConfig(no_cache=True).build().extract_one(healthy)
+        monkeypatch.setenv("REPRO_FAULTS", "slow-app=hang:60")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pool = EnginePool(EngineConfig(task_timeout=2.0, no_cache=True),
+                              size=1)
+            try:
+                start = time.monotonic()
+                with pytest.raises(TaskTimeout, match="slow-app"):
+                    pool.extract_one(slow)
+                assert time.monotonic() - start < 30
+                shape = pool.describe()
+                assert shape["rebuilds_left"] == 1
+                assert shape["broken"] is False
+                assert shape["engine"]["task_timeout"] == 2.0
+                assert pool.extract_one(healthy) == direct
+                assert pool.in_use == 0
+            finally:
+                pool.close()
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
+
+class TestSharedDeath:
+    def test_two_requests_on_one_dead_executor_are_one_death(
+            self, tmp_path, monkeypatch):
+        """Request B is in flight when request A's worker dies: both
+        see the break, both resubmit, and only one rebuild is spent."""
+        import time
+
+        from repro import obs
+
+        killer, sleeper = _tree(tmp_path, "killer"), _tree(tmp_path, "sleeper")
+        engine = EngineConfig(no_cache=True).build()
+        direct = {"killer": engine.extract_one(killer),
+                  "sleeper": engine.extract_one(sleeper)}
+        monkeypatch.setenv(
+            "REPRO_FAULTS",
+            f"killer=kill_once:{tmp_path / 'spent'};sleeper=hang:3")
+        obs.configure()
+        pool = EnginePool(EngineConfig(no_cache=True), size=2)
+        rows, errors = {}, []
+
+        def fire(codebase):
+            try:
+                rows[codebase.name] = pool.extract_one(codebase)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        try:
+            pool.prestart()
+            threads = [threading.Thread(target=fire, args=(sleeper,))]
+            threads[0].start()
+            time.sleep(1.0)  # the sleeper is now hanging in its worker
+            threads.append(threading.Thread(target=fire, args=(killer,)))
+            threads[1].start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            counters = obs.active().metrics.snapshot()["counters"]
+            shape = pool.describe()
+        finally:
+            pool.close()
+            obs.disable()
+        assert errors == []
+        assert rows == direct
+        assert counters.get("serve.pool.rebuilds") == 1
+        assert shape["rebuilds_left"] == 0
+        assert shape["broken"] is False

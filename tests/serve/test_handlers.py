@@ -201,3 +201,30 @@ class TestExtractionFailure:
             obs.disable()
         assert response.status == 500
         assert body["error"].startswith("extraction failed — boom")
+
+    def test_hung_extraction_answers_timeout(self, store, tmp_path,
+                                             monkeypatch):
+        import time
+
+        from repro.engine import EngineConfig
+        from repro.engine.faults import FAULTS_ENV
+
+        tree = tmp_path / "slow-app"
+        tree.mkdir()
+        (tree / "a.c").write_text("int f(void) {\n    return 0;\n}\n")
+        monkeypatch.setenv(FAULTS_ENV, "slow-app=hang:60")
+        server = AsyncPredictionServer(
+            store, config=EngineConfig(no_cache=True, task_timeout=2.0),
+            port=0, pool_size=1)
+        try:
+            start = time.monotonic()
+            response, body = call(server, "POST", "/analyze",
+                                  {"path": str(tree)})
+            elapsed = time.monotonic() - start
+        finally:
+            server.stop()
+            obs.disable()
+        assert elapsed < 30
+        assert response.status == 500
+        assert body["error"] == ("extraction failed — slow-app: no result "
+                                 "within 2s")
