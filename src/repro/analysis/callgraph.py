@@ -40,16 +40,18 @@ def file_facts(source: SourceFile) -> List[list]:
     file's tokens again.
     """
     facts: List[list] = []
+    columns = source.columns
+    kinds, texts = columns.kinds, columns.texts
+    ident = TokenKind.IDENT
     for func in artifact_for(source).functions:
         name = func.name
         calls: Dict[str, int] = {}
-        tokens = func.body_tokens  # already code-filtered by the parser
-        for i in range(len(tokens) - 1):
-            tok = tokens[i]
-            if tok.kind != TokenKind.IDENT or tokens[i + 1].text != "(":
+        lo = func.body_start
+        for i in range(lo, func.body_end - 1):
+            if kinds[i] is not ident or texts[i + 1] != "(":
                 continue
-            callee = tok.text
-            if callee == name and i > 0 and tokens[i - 1].text in (".", "->"):
+            callee = texts[i]
+            if callee == name and i > lo and texts[i - 1] in (".", "->"):
                 continue
             calls[callee] = calls.get(callee, 0) + 1
         facts.append([name, 1 if func.is_public else 0, func.param_count,

@@ -32,12 +32,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lang.parser import FunctionInfo
 from repro.lang.sourcefile import Codebase, SourceFile
-from repro.lang.tokens import Token, TokenKind
+from repro.lang.tokens import TokenKind
 
 _IDENT = TokenKind.IDENT
 _KEYWORD = TokenKind.KEYWORD
@@ -277,21 +276,19 @@ class _Blocks:
 # statement's own tokens.
 
 
-def _scan(toks: Sequence[Token], i: int, end: int,
-          names: Dict[str, int]) -> Tuple[int, int, int]:
-    """(defs, uses, flags) of the statement ``toks[i:end]``."""
+def _scan(kinds: Sequence[TokenKind], texts: Sequence[str], i: int,
+          end: int, names: Dict[str, int]) -> Tuple[int, int, int]:
+    """(defs, uses, flags) of the statement at tokens ``i:end``."""
     first = i
     d = u = fl = 0
     while i < end:
-        tok = toks[i]
-        if tok.kind is _IDENT:
-            name = tok.text
+        if kinds[i] is _IDENT:
+            name = texts[i]
             bit = names.get(name)
             if bit is None:
                 bit = names[name] = 1 << len(names)
             if i + 1 < end:
-                nxt = toks[i + 1]
-                text = nxt.text
+                text = texts[i + 1]
                 if text == "(":
                     if name in TAINT_SOURCES:
                         fl |= SOURCE
@@ -299,7 +296,7 @@ def _scan(toks: Sequence[Token], i: int, end: int,
                         fl |= SINK
                     i += 1
                     continue
-                if nxt.kind is _OPERATOR and text in _ASSIGN_OPS:
+                if kinds[i + 1] is _OPERATOR and text in _ASSIGN_OPS:
                     d |= bit
                     if text != "=":
                         u |= bit
@@ -310,14 +307,14 @@ def _scan(toks: Sequence[Token], i: int, end: int,
                     u |= bit
                     i += 1
                     continue
-            if i > first and toks[i - 1].text in ("++", "--"):
+            if i > first and texts[i - 1] in ("++", "--"):
                 d |= bit
             u |= bit
         i += 1
     return d, u, fl
 
 
-def _simple(toks: Sequence[Token], i: int, n: int,
+def _simple(kinds: Sequence[TokenKind], texts: Sequence[str], i: int, n: int,
             names: Dict[str, int]) -> Tuple[int, int, int, int]:
     """Consume an expression statement up to ``;`` or a block boundary.
 
@@ -330,15 +327,13 @@ def _simple(toks: Sequence[Token], i: int, n: int,
     depth = 0
     d = u = fl = 0
     while i < n:
-        tok = toks[i]
-        text = tok.text
-        if tok.kind is _IDENT:
+        text = texts[i]
+        if kinds[i] is _IDENT:
             bit = names.get(text)
             if bit is None:
                 bit = names[text] = 1 << len(names)
             if i + 1 < n:
-                nxt = toks[i + 1]
-                ntext = nxt.text
+                ntext = texts[i + 1]
                 if ntext == "(":
                     if text in TAINT_SOURCES:
                         fl |= SOURCE
@@ -346,7 +341,7 @@ def _simple(toks: Sequence[Token], i: int, n: int,
                         fl |= SINK
                     i += 1
                     continue
-                if nxt.kind is _OPERATOR and ntext in _ASSIGN_OPS:
+                if kinds[i + 1] is _OPERATOR and ntext in _ASSIGN_OPS:
                     d |= bit
                     if ntext != "=":
                         u |= bit
@@ -357,7 +352,7 @@ def _simple(toks: Sequence[Token], i: int, n: int,
                     u |= bit
                     i += 1
                     continue
-            if i > first and toks[i - 1].text in ("++", "--"):
+            if i > first and texts[i - 1] in ("++", "--"):
                 d |= bit
             u |= bit
         elif text in "([":
@@ -376,26 +371,26 @@ def _simple(toks: Sequence[Token], i: int, n: int,
     return i, d, u, fl
 
 
-def _parens(toks: Sequence[Token], i: int, n: int,
+def _parens(kinds: Sequence[TokenKind], texts: Sequence[str], i: int, n: int,
             names: Dict[str, int]) -> Tuple[int, int, int, int]:
     """Consume a balanced ``( ... )`` group at ``i``, if there is one.
 
     Returns ``(next index, defs, uses, flags)`` of the inner tokens.
     """
-    if i >= n or toks[i].text != "(":
+    if i >= n or texts[i] != "(":
         return i, 0, 0, 0
     depth = 1
     j = i + 1
     while j < n:
-        text = toks[j].text
+        text = texts[j]
         if text == "(":
             depth += 1
         elif text == ")":
             depth -= 1
             if depth == 0:
-                return (j + 1,) + _scan(toks, i + 1, j, names)
+                return (j + 1,) + _scan(kinds, texts, i + 1, j, names)
         j += 1
-    return (n,) + _scan(toks, i + 1, n, names)
+    return (n,) + _scan(kinds, texts, i + 1, n, names)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +424,9 @@ def _materialize(stack: list, pending: int, em: _Blocks) -> List[int]:
     return preds
 
 
-def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
-    """Lower the statements of ``toks[i:n]`` to a block CFG."""
+def _lower_brace(kinds: Sequence[TokenKind], texts: Sequence[str], i: int,
+                 n: int) -> CFG:
+    """Lower the statements at tokens ``i:n`` to a block CFG."""
     em = _Blocks()
     names: Dict[str, int] = {}
     labels: Dict[str, int] = {}
@@ -457,7 +453,7 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
                 # [type, cond, break, continue, then tails or None]
                 if frame[4] is None:
                     frame[4] = tails
-                    if i < n and toks[i].text == "else":
+                    if i < n and texts[i] == "else":
                         i += 1
                         preds, brk, cont = [frame[1]], frame[2], frame[3]
                         tails = None
@@ -475,11 +471,11 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
                 head = frame[1]
                 for tail in tails:
                     em.edge(tail, head)
-                if kind is _DO and i < n and toks[i].text == "while":
-                    i, d, u, fl = _parens(toks, i + 1, n, names)
+                if kind is _DO and i < n and texts[i] == "while":
+                    i, d, u, fl = _parens(kinds, texts, i + 1, n, names)
                     s = em.starts[head]
                     em.defs[s], em.uses[s], em.flags[s] = d, u, fl
-                    if i < n and toks[i].text == ";":
+                    if i < n and texts[i] == ";":
                         i += 1
                 em.edge(head, frame[2])
                 tails = [em.start([], 0, 0, 0, False, frame[2])]
@@ -487,10 +483,10 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
                 continue
             else:  # _TRY: [type, head, break, continue, tails so far]
                 frame[4] += tails
-                if i < n and toks[i].text in ("catch", "finally"):
+                if i < n and texts[i] in ("catch", "finally"):
                     i += 1
-                    if toks[i - 1].text == "catch":
-                        i = _parens(toks, i, n, names)[0]
+                    if texts[i - 1] == "catch":
+                        i = _parens(kinds, texts, i, n, names)[0]
                     preds, brk, cont = [frame[1]], frame[2], frame[3]
                     tails = None
                     want_body = True
@@ -501,14 +497,14 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
 
         if want_body:
             want_body = False
-            if i < n and toks[i].text == "{":
+            if i < n and texts[i] == "{":
                 i += 1
                 stack.append([_SEQ, preds, brk, cont, True])
                 continue
         else:
             frame = stack[-1]
             if frame[0] is _SEQ:
-                if i >= n or (frame[4] and toks[i].text == "}"):
+                if i >= n or (frame[4] and texts[i] == "}"):
                     if i < n:
                         i += 1
                     tails = frame[1]
@@ -521,9 +517,9 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
                 preds, brk, cont = frame[1], frame[2], frame[3]
             else:  # _SWITCH: [type, head, join, continue, arm tails]
                 head, join = frame[1], frame[2]
-                tok = toks[i] if i < n else None
-                if tok is None or tok.text == "}":
-                    if tok is not None:
+                text = texts[i] if i < n else None
+                if text is None or text == "}":
+                    if text is not None:
                         i += 1
                     if frame[4] is not None:
                         for tail in frame[4]:
@@ -534,9 +530,9 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
                     if pending:
                         pending -= 1
                     continue
-                if tok.kind is _KEYWORD and tok.text in ("case", "default"):
+                if kinds[i] is _KEYWORD and text in ("case", "default"):
                     i += 1
-                    while i < n and toks[i].text != ":":
+                    while i < n and texts[i] != ":":
                         i += 1
                     if i < n:
                         i += 1
@@ -554,8 +550,7 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
         if i >= n:
             tails = preds
             continue
-        tok = toks[i]
-        text = tok.text
+        text = texts[i]
         if text in _CLOSERS:
             # An empty statement, or an unbalanced closer: consume it so
             # the walk always advances.
@@ -570,16 +565,16 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
         if pending:
             preds = _materialize(stack, pending, em)
             pending = 0
-        if tok.kind is _KEYWORD:
+        if kinds[i] is _KEYWORD:
             if text == "if":
-                i, d, u, fl = _parens(toks, i + 1, n, names)
+                i, d, u, fl = _parens(kinds, texts, i + 1, n, names)
                 cond = em.stmt(preds, d, u, fl, True)
                 stack.append([_IF, cond, brk, cont, None])
                 preds = [cond]
                 want_body = True
                 continue
             if text == "while" or text == "for":
-                i, d, u, fl = _parens(toks, i + 1, n, names)
+                i, d, u, fl = _parens(kinds, texts, i + 1, n, names)
                 head = em.start(preds, d, u, fl, True)
                 join = em.reserve()
                 stack.append([_LOOP, head, join])
@@ -595,10 +590,10 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
                 want_body = True
                 continue
             if text == "switch":
-                i, d, u, fl = _parens(toks, i + 1, n, names)
+                i, d, u, fl = _parens(kinds, texts, i + 1, n, names)
                 head = em.stmt(preds, d, u, fl, True)
                 join = em.reserve()
-                if i < n and toks[i].text == "{":
+                if i < n and texts[i] == "{":
                     i += 1
                     stack.append([_SWITCH, head, join, cont, None])
                     pending = 1
@@ -614,14 +609,14 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
                 want_body = True
                 continue
             if text == "return" or text == "throw":
-                i, d, u, fl = _simple(toks, i + 1, n, names)
+                i, d, u, fl = _simple(kinds, texts, i + 1, n, names)
                 em.edge(em.stmt(preds, d, u, fl, True), EXIT)
                 em.returns += 1
                 tails = []
                 continue
             if text == "break" or text == "continue":
                 i += 1
-                if i < n and toks[i].text == ";":
+                if i < n and texts[i] == ";":
                     i += 1
                 target = brk if text == "break" else cont
                 em.edge(em.stmt(preds, 0, 0, 0, True),
@@ -630,10 +625,10 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
                 continue
             if text == "goto":
                 i += 1
-                label = toks[i].text if i < n else ""
+                label = texts[i] if i < n else ""
                 if label in _CLOSERS or label == "{":
                     label = ""
-                i, d, u, fl = _simple(toks, i, n, names)
+                i, d, u, fl = _simple(kinds, texts, i, n, names)
                 gotos.append((em.stmt(preds, d, u, fl, True), label))
                 tails = []
                 continue
@@ -643,7 +638,7 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
                 preds = [em.stmt(preds, 0, 0, 0, False)]
                 want_body = True
                 continue
-        elif tok.kind is _IDENT and i + 1 < n and toks[i + 1].text == ":":
+        elif kinds[i] is _IDENT and i + 1 < n and texts[i + 1] == ":":
             i += 2
             bit = names.get(text)
             if bit is None:
@@ -651,7 +646,7 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
             block = labels[text] = em.start(preds, 0, bit, 0, False)
             tails = [block]
             continue
-        i, d, u, fl = _simple(toks, i, n, names)
+        i, d, u, fl = _simple(kinds, texts, i, n, names)
         tails = [em.stmt(preds, d, u, fl, False)]
 
     for tail in tails:
@@ -667,10 +662,10 @@ def _lower_brace(toks: Sequence[Token], i: int, n: int) -> CFG:
 
 _PY_BLOCKS = frozenset({"if", "while", "for", "with", "try", "match"})
 _PY_ARMS = frozenset({"elif", "else", "except", "finally", "case"})
-_line_of = attrgetter("line")
 
 
-def _lower_indent(toks: Sequence[Token], line_indents: List[int], lo: int,
+def _lower_indent(kinds: Sequence[TokenKind], texts: Sequence[str],
+                  lines: List[int], line_indents: List[int], lo: int,
                   hi: int) -> CFG:
     """Lower the code lines ``lo..hi`` (1-based, inclusive) to a block CFG.
 
@@ -681,14 +676,14 @@ def _lower_indent(toks: Sequence[Token], line_indents: List[int], lo: int,
     skipped.
     """
     # One pass groups the code tokens by line: line k of the body is
-    # toks[firsts[k]:firsts[k + 1]].
-    i = bisect_left(toks, lo, key=_line_of)
-    n = len(toks)
+    # tokens firsts[k]:firsts[k + 1].
+    i = bisect_left(lines, lo)
+    n = len(lines)
     firsts: List[int] = []
     numbers: List[int] = []
     last = -1
     while i < n:
-        ln = toks[i].line
+        ln = lines[i]
         if ln != last:
             if ln > hi:
                 break
@@ -701,8 +696,8 @@ def _lower_indent(toks: Sequence[Token], line_indents: List[int], lo: int,
     indents = [line_indents[ln - 1] for ln in numbers]
     words = []
     for k in range(m):
-        head = toks[firsts[k]]
-        words.append(head.text if head.kind is _KEYWORD else None)
+        head = firsts[k]
+        words.append(texts[head] if kinds[head] is _KEYWORD else None)
     # block_end[k]: the first later line indented no deeper than line k,
     # so line k's block is lines k + 1 .. block_end[k] - 1.
     block_end = [m] * m
@@ -733,7 +728,7 @@ def _lower_indent(toks: Sequence[Token], line_indents: List[int], lo: int,
                     k = frame[5][pos]
                     frame[6] = pos + 1
                     cond = em.stmt([frame[1]], *_scan(
-                        toks, firsts[k], firsts[k + 1], names), True)
+                        kinds, texts, firsts[k], firsts[k + 1], names), True)
                     frame[1] = cond
                     stack.append([_SEQ, [cond], frame[2], frame[3],
                                   k + 1, block_end[k]])
@@ -813,7 +808,7 @@ def _lower_indent(toks: Sequence[Token], line_indents: List[int], lo: int,
                 arms.append(j)
                 j = block_end[j]
             frame[4] = j
-            d, u, fl = _scan(toks, firsts[k], firsts[k + 1], names)
+            d, u, fl = _scan(kinds, texts, firsts[k], firsts[k + 1], names)
             if word == "if":
                 # Each elif nests in the previous one's else; an else
                 # arm is the last if's else unless a later elif or else
@@ -863,7 +858,7 @@ def _lower_indent(toks: Sequence[Token], line_indents: List[int], lo: int,
             continue
         frame[4] = k + 1
         if word == "return" or word == "raise":
-            d, u, fl = _scan(toks, firsts[k], firsts[k + 1], names)
+            d, u, fl = _scan(kinds, texts, firsts[k], firsts[k + 1], names)
             em.edge(em.stmt(preds, d, u, fl, True), EXIT)
             em.returns += 1
             frame[1] = []
@@ -875,7 +870,7 @@ def _lower_indent(toks: Sequence[Token], line_indents: List[int], lo: int,
         else:
             if word == "def" or word == "class":
                 frame[4] = block_end[k]
-            d, u, fl = _scan(toks, firsts[k], firsts[k + 1], names)
+            d, u, fl = _scan(kinds, texts, firsts[k], firsts[k + 1], names)
             frame[1] = [em.stmt(preds, d, u, fl, False)]
     for tail in tails:
         em.edge(tail, EXIT)
@@ -890,20 +885,21 @@ def _lower_indent(toks: Sequence[Token], line_indents: List[int], lo: int,
 def build_cfg(func: FunctionInfo, source: SourceFile) -> CFG:
     """Build the block control-flow graph of one function.
 
-    Python bodies are read from the file's code-token list. Building the
+    Bodies are read from the file's code-token columns. Building the
     same function twice yields identical graphs, which is what lets one
     CFG be shared between the control-flow and data-flow analyzers
     without changing either's output.
     """
+    columns = source.columns
+    kinds, texts = columns.kinds, columns.texts
     if source.spec.function_style == "indent":
-        return _lower_indent(source.code_tokens, source.indents,
+        return _lower_indent(kinds, texts, columns.lines, source.indents,
                              func.start_line + 1, func.end_line)
-    body = func.body_tokens
-    # ``body_tokens`` come from the parser already code-filtered; skip
-    # the enclosing braces if present.
-    if body and body[0].text == "{" and body[-1].text == "}":
-        return _lower_brace(body, 1, len(body) - 1)
-    return _lower_brace(body, 0, len(body))
+    lo, hi = func.body_start, func.body_end
+    # Skip the body's enclosing braces if present.
+    if hi > lo and texts[lo] == "{" and texts[hi - 1] == "}":
+        return _lower_brace(kinds, texts, lo + 1, hi - 1)
+    return _lower_brace(kinds, texts, lo, hi)
 
 
 @dataclass(frozen=True)

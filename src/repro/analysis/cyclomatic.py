@@ -11,8 +11,9 @@ the same whole-program figure the paper plots in Figure 3.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.analysis.artifact import artifact_for
 from repro.lang.parser import FunctionInfo
@@ -30,23 +31,29 @@ class ComplexityReport:
 
 
 def decision_count(tokens: Iterable[Token], decision_tokens) -> int:
-    """Number of decision points in a token stream."""
-    count = 0
+    """Number of decision points in a ``Token`` stream."""
+    tokens = list(tokens)
+    return decisions_in([t.kind for t in tokens], [t.text for t in tokens],
+                        0, len(tokens), decision_tokens)
+
+
+def decisions_in(kinds: Sequence[TokenKind], texts: Sequence[str], lo: int,
+                 hi: int, decision_tokens) -> int:
+    """Number of decision points among the column tokens ``lo:hi``."""
     keyword = TokenKind.KEYWORD
     operator = TokenKind.OPERATOR
-    for tok in tokens:
-        # KEYWORD/OPERATOR tokens are code by definition, so the kind
-        # test alone also rejects every non-code token.
-        kind = tok.kind
-        if (kind is keyword or kind is operator) \
-                and tok.text in decision_tokens:
-            count += 1
-    return count
+    # KEYWORD/OPERATOR tokens are code by definition, so the kind test
+    # alone also rejects every non-code token.
+    return sum(1 for kind, text in zip(kinds[lo:hi], texts[lo:hi])
+               if text in decision_tokens
+               and (kind is keyword or kind is operator))
 
 
 def function_complexity(func: FunctionInfo, source: SourceFile) -> int:
     """McCabe complexity of one function: decisions in its body + 1."""
-    return decision_count(func.body_tokens, source.spec.decision_tokens) + 1
+    columns = source.columns
+    return decisions_in(columns.kinds, columns.texts, func.body_start,
+                        func.body_end, source.spec.decision_tokens) + 1
 
 
 def file_complexities(source: SourceFile) -> List[ComplexityReport]:
@@ -57,38 +64,28 @@ def file_complexities(source: SourceFile) -> List[ComplexityReport]:
 def _stray_decisions(source: SourceFile, functions: List[FunctionInfo]) -> int:
     """Decision tokens on lines outside every function's line extent.
 
-    The extents are merged into disjoint ranges in start order. Tokens
-    come in line order too, so one cursor walks the ranges alongside the
-    tokens instead of testing each token against every function.
+    The extents are merged into disjoint line ranges. Tokens come in
+    line order, so each range is one run of token indices (two
+    bisections) and only the runs between them are scanned.
     """
-    starts: List[int] = []
-    ends: List[int] = []
-    for lo, hi in sorted((f.start_line, f.end_line) for f in functions):
-        if ends and lo <= ends[-1]:
-            ends[-1] = max(ends[-1], hi)
-        else:
-            starts.append(lo)
-            ends.append(hi)
+    columns = source.columns
+    kinds, texts, lines = columns.kinds, columns.texts, columns.lines
     decision_tokens = source.spec.decision_tokens
-    stray = k = 0
-    n_ranges = len(ends)
-    keyword = TokenKind.KEYWORD
-    operator = TokenKind.OPERATOR
-    for tok in source.code_tokens:
-        # KEYWORD/OPERATOR tokens are code by definition (see
-        # ``decision_count``).
-        kind = tok.kind
-        if kind is not keyword and kind is not operator:
-            continue
-        if tok.text not in decision_tokens:
-            continue
-        line = tok.line
-        while k < n_ranges and ends[k] < line:
-            k += 1
-        if k < n_ranges and starts[k] <= line:
-            continue
-        stray += 1
-    return stray
+    ranges: List[List[int]] = []
+    for lo, hi in sorted((f.start_line, f.end_line) for f in functions):
+        if ranges and lo <= ranges[-1][1]:
+            ranges[-1][1] = max(ranges[-1][1], hi)
+        else:
+            ranges.append([lo, hi])
+    stray = 0
+    gap_start = 0
+    for lo, hi in ranges:
+        inside = bisect_left(lines, lo, gap_start)
+        stray += decisions_in(kinds, texts, gap_start, inside,
+                              decision_tokens)
+        gap_start = bisect_right(lines, hi, inside)
+    return stray + decisions_in(kinds, texts, gap_start, len(kinds),
+                                decision_tokens)
 
 
 def file_complexity(source: SourceFile) -> int:

@@ -27,6 +27,9 @@ _JAVA_TYPE_KEYWORDS = frozenset(
 )
 _PY_DECL_KEYWORDS = frozenset({"def", "class", "lambda", "global", "nonlocal"})
 
+_ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+                         "<<=", ">>=", ":="})
+
 
 @dataclass(frozen=True)
 class FunctionMetrics:
@@ -56,23 +59,16 @@ def count_declarations(source: SourceFile) -> int:
     Python: def/class/lambda/global/nonlocal plus first-bindings via ``=``
     are approximated by counting def/class/lambda statements.
     """
-    tokens = source.code_tokens
+    columns = source.columns
+    kinds, texts = columns.kinds, columns.texts
+    keyword = TokenKind.KEYWORD
     if source.spec.name == "python":
-        return sum(
-            1
-            for t in tokens
-            if t.kind == TokenKind.KEYWORD and t.text in _PY_DECL_KEYWORDS
-        )
+        return sum(1 for kind, text in zip(kinds, texts)
+                   if kind is keyword and text in _PY_DECL_KEYWORDS)
     type_kw = _JAVA_TYPE_KEYWORDS if source.spec.name == "java" else _C_TYPE_KEYWORDS
-    count = 0
-    for i in range(len(tokens) - 1):
-        if (
-            tokens[i].kind == TokenKind.KEYWORD
-            and tokens[i].text in type_kw
-            and tokens[i + 1].kind == TokenKind.IDENT
-        ):
-            count += 1
-    return count
+    ident = TokenKind.IDENT
+    return sum(1 for kind, text, nxt in zip(kinds, texts, kinds[1:])
+               if kind is keyword and text in type_kw and nxt is ident)
 
 
 def count_variables(source: SourceFile) -> int:
@@ -82,19 +78,21 @@ def count_variables(source: SourceFile) -> int:
     (including compound assignments); a cheap but language-agnostic proxy
     for variable count.
     """
-    tokens = source.code_tokens
+    columns = source.columns
+    kinds, texts = columns.kinds, columns.texts
+    n = len(texts)
+    ident = TokenKind.IDENT
+    operator = TokenKind.OPERATOR
     assigned = set()
-    assign_ops = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=",
-                  ">>=", ":="}
-    for i in range(len(tokens) - 1):
-        if tokens[i].kind != TokenKind.IDENT:
+    for i in range(n - 1):
+        if kinds[i] is not ident or kinds[i + 1] is not operator:
             continue
-        nxt = tokens[i + 1]
-        if nxt.kind == TokenKind.OPERATOR and nxt.text in assign_ops:
+        nxt = texts[i + 1]
+        if nxt in _ASSIGN_OPS:
             # `a == b` is a comparison, not an assignment.
-            if nxt.text == "=" and i + 2 < len(tokens) and tokens[i + 2].text == "=":
+            if nxt == "=" and i + 2 < n and texts[i + 2] == "=":
                 continue
-            assigned.add(tokens[i].text)
+            assigned.add(texts[i])
     return len(assigned)
 
 

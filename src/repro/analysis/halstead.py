@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.lang.sourcefile import Codebase, SourceFile
-from repro.lang.tokens import OPERAND_KINDS, OPERATOR_KINDS, Token
+from repro.lang.tokens import OPERAND_KINDS, OPERATOR_KINDS, Token, TokenKind
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,14 @@ _EMPTY = HalsteadMetrics(0, 0, 0, 0)
 
 
 def measure_tokens(tokens: Iterable[Token]) -> HalsteadMetrics:
-    """Compute Halstead counts over a token stream.
+    """Compute Halstead counts over a ``Token`` stream."""
+    tokens = list(tokens)
+    return measure_columns([t.kind for t in tokens], [t.text for t in tokens])
+
+
+def measure_columns(kinds: Sequence[TokenKind], texts: Sequence[str]
+                    ) -> HalsteadMetrics:
+    """Compute Halstead counts over parallel kind/text columns.
 
     Keywords, operators, and punctuation are operators; identifiers and
     literals are operands. Comments/newlines are ignored.
@@ -107,12 +114,12 @@ def measure_tokens(tokens: Iterable[Token]) -> HalsteadMetrics:
     operands: set = set()
     n_operators = 0
     n_operands = 0
-    for tok in tokens:
-        if tok.kind in OPERATOR_KINDS:
-            operators.add(tok.text)
+    for kind, text in zip(kinds, texts):
+        if kind in OPERATOR_KINDS:
+            operators.add(text)
             n_operators += 1
-        elif tok.kind in OPERAND_KINDS:
-            operands.add(tok.text)
+        elif kind in OPERAND_KINDS:
+            operands.add(text)
             n_operands += 1
     return HalsteadMetrics(
         distinct_operators=len(operators),
@@ -124,7 +131,8 @@ def measure_tokens(tokens: Iterable[Token]) -> HalsteadMetrics:
 
 def measure_file(source: SourceFile) -> HalsteadMetrics:
     """Halstead measures for one source file."""
-    return measure_tokens(source.code_tokens)
+    columns = source.columns
+    return measure_columns(columns.kinds, columns.texts)
 
 
 def measure_codebase(codebase: Codebase) -> HalsteadMetrics:

@@ -81,11 +81,10 @@ def file_counts(source: SourceFile) -> CounterT[str]:
     which the float-summed statistics of :func:`metrics_from_counts`
     depend on for bit-identical results.
     """
-    counts: CounterT[str] = Counter()
-    for tok in source.code_tokens:
-        if tok.kind == TokenKind.IDENT:
-            counts[tok.text] += 1
-    return counts
+    columns = source.columns
+    ident = TokenKind.IDENT
+    return Counter(text for kind, text in zip(columns.kinds, columns.texts)
+                   if kind is ident)
 
 
 def measure_file(source: SourceFile) -> IdentifierMetrics:

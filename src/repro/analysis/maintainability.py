@@ -73,8 +73,11 @@ def measure_file(source: SourceFile) -> MaintainabilityReport:
 def measure_functions(source: SourceFile) -> List[MaintainabilityReport]:
     """Per-function MI reports for one file."""
     reports = []
+    columns = source.columns
     for func in artifact_for(source).functions:
-        volume = halstead.measure_tokens(func.body_tokens).volume
+        lo, hi = func.body_start, func.body_end
+        volume = halstead.measure_columns(
+            columns.kinds[lo:hi], columns.texts[lo:hi]).volume
         complexity = cyclomatic.function_complexity(func, source)
         reports.append(
             MaintainabilityReport(

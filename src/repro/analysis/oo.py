@@ -61,31 +61,34 @@ def _inheritance_edges(source: SourceFile) -> Dict[str, str]:
     edges: Dict[str, str] = {}
     if "class" not in source.text:
         return edges  # no `class` keyword token (most C files)
-    tokens = source.code_tokens
-    for i, tok in enumerate(tokens):
-        if tok.kind != TokenKind.KEYWORD or tok.text not in ("class",):
+    columns = source.columns
+    kinds, texts = columns.kinds, columns.texts
+    n = len(texts)
+    keyword, ident = TokenKind.KEYWORD, TokenKind.IDENT
+    for i in range(n):
+        if kinds[i] is not keyword or texts[i] != "class":
             continue
-        if i + 1 >= len(tokens) or tokens[i + 1].kind != TokenKind.IDENT:
+        if i + 1 >= n or kinds[i + 1] is not ident:
             continue
-        child = tokens[i + 1].text
+        child = texts[i + 1]
         # Java: class A extends B | Python: class A(B) | C++: class A : B
         j = i + 2
-        while j < len(tokens) and tokens[j].text not in ("{", ":", "(", ";"):
-            if tokens[j].text == "extends" and j + 1 < len(tokens):
-                edges[child] = tokens[j + 1].text
+        while j < n and texts[j] not in ("{", ":", "(", ";"):
+            if texts[j] == "extends" and j + 1 < n:
+                edges[child] = texts[j + 1]
                 break
             j += 1
-        if child in edges or j >= len(tokens):
+        if child in edges or j >= n:
             continue
         # Python bases sit in parens (the header colon opens the block);
         # C++ bases follow a colon (after access specifiers).
         opener = "(" if source.spec.name == "python" else ":"
-        if tokens[j].text == opener and source.spec.name in ("python", "cpp"):
+        if texts[j] == opener and source.spec.name in ("python", "cpp"):
             k = j + 1
-            while k < len(tokens) and tokens[k].kind == TokenKind.KEYWORD:
+            while k < n and kinds[k] is keyword:
                 k += 1
-            if k < len(tokens) and tokens[k].kind == TokenKind.IDENT:
-                edges[child] = tokens[k].text
+            if k < n and kinds[k] is ident:
+                edges[child] = texts[k]
     return edges
 
 
@@ -116,18 +119,21 @@ def _field_visibility(source: SourceFile, cls: ClassInfo) -> Tuple[int, int]:
     if source.spec.name == "python":
         # Attributes assigned as self.<name> inside methods.
         names: Set[str] = set()
+        columns = source.columns
+        kinds, texts = columns.kinds, columns.texts
+        ident = TokenKind.IDENT
         for method in cls.methods:
-            tokens = method.body_tokens  # already code-filtered by the parser
-            for i in range(len(tokens) - 2):
+            end = method.body_end
+            for i in range(method.body_start, end - 2):
                 if (
-                    tokens[i].text == "self"
-                    and tokens[i + 1].text == "."
-                    and tokens[i + 2].kind == TokenKind.IDENT
+                    texts[i] == "self"
+                    and texts[i + 1] == "."
+                    and kinds[i + 2] is ident
                 ):
                     # self.name( is a method call, not a field.
-                    if i + 3 < len(tokens) and tokens[i + 3].text == "(":
+                    if i + 3 < end and texts[i + 3] == "(":
                         continue
-                    names.add(tokens[i + 2].text)
+                    names.add(texts[i + 2])
         if not names:
             return 0, 0
         public = sum(1 for n in names if not n.startswith("_"))
@@ -135,15 +141,16 @@ def _field_visibility(source: SourceFile, cls: ClassInfo) -> Tuple[int, int]:
     return 0, 0
 
 
-def _call_names(cls: ClassInfo) -> List[str]:
+def _call_names(source: SourceFile, cls: ClassInfo) -> List[str]:
     """Sorted names called anywhere in ``cls``'s methods (coupling input)."""
+    columns = source.columns
+    kinds, texts = columns.kinds, columns.texts
+    ident = TokenKind.IDENT
     names: Set[str] = set()
     for method in cls.methods:
-        tokens = method.body_tokens  # already code-filtered by the parser
-        for i in range(len(tokens) - 1):
-            if (tokens[i].kind == TokenKind.IDENT
-                    and tokens[i + 1].text == "("):
-                names.add(tokens[i].text)
+        for i in range(method.body_start, method.body_end - 1):
+            if kinds[i] is ident and texts[i + 1] == "(":
+                names.add(texts[i])
     return sorted(names)
 
 
@@ -163,7 +170,7 @@ def file_facts(source: SourceFile) -> Dict[str, list]:
             [[m.name, 1 if m.is_public else 0] for m in cls.methods],
             public_fields,
             fields,
-            _call_names(cls),
+            _call_names(source, cls),
         ])
     return {
         "classes": facts,

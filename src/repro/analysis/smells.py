@@ -4,8 +4,8 @@
 parameter lists, deep nesting, god files, magic numbers, commented-out
 code, TODO markers, duplicated line windows, and over-long lines. The
 feature vector only consumes per-kind counts, so :func:`file_counts`
-computes exactly those in one sweep per view (function table, tokens,
-lines) and never builds a per-hit object.
+computes exactly those in one sweep per view (function table, code-token
+columns, comments, lines) and never builds a per-hit object.
 """
 
 from __future__ import annotations
@@ -50,31 +50,30 @@ def file_counts(source: SourceFile) -> Dict[str, int]:
     """Per-kind smell counts for one file, keyed in ``ALL_DETECTORS`` order."""
     functions = artifact_for(source).functions
 
-    # One token pass: magic numbers, TODO markers, commented-out code.
-    # A comment is disabled code when its body — one leading line-comment
-    # marker and any trailing ``*/`` removed — is longer than four
-    # characters and ends in ';' or '{' or opens with a control keyword.
-    number, comment = TokenKind.NUMBER, TokenKind.COMMENT
+    # Magic numbers from the code tokens; TODO markers and commented-out
+    # code from the comments. A comment is disabled code when its body —
+    # one leading line-comment marker and any trailing ``*/`` removed — is
+    # longer than four characters and ends in ';' or '{' or opens with a
+    # control keyword.
+    columns = source.columns
+    number = TokenKind.NUMBER
+    magic = sum(1 for kind, text in zip(columns.kinds, columns.texts)
+                if kind is number
+                and text.rstrip("uUlLfF") not in _TRIVIAL_NUMBERS)
     line_markers = source.spec.line_comment
-    magic = todo = commented = 0
-    for tok in source.tokens:
-        kind = tok.kind
-        if kind is number:
-            if tok.text.rstrip("uUlLfF") not in _TRIVIAL_NUMBERS:
-                magic += 1
-        elif kind is comment:
-            body = tok.text
-            upper = body.upper()
-            if any(marker in upper for marker in _TODO_MARKERS):
-                todo += 1
-            for marker in line_markers:
-                if body.startswith(marker):
-                    body = body[len(marker):]
-                    break
-            body = body.strip().rstrip("*/").strip()
-            if len(body) > 4 and (body.endswith((";", "{"))
-                                  or body.startswith(_CODE_PREFIXES)):
-                commented += 1
+    todo = commented = 0
+    for _, body in columns.comments:
+        upper = body.upper()
+        if any(marker in upper for marker in _TODO_MARKERS):
+            todo += 1
+        for marker in line_markers:
+            if body.startswith(marker):
+                body = body[len(marker):]
+                break
+        body = body.strip().rstrip("*/").strip()
+        if len(body) > 4 and (body.endswith((";", "{"))
+                              or body.startswith(_CODE_PREFIXES)):
+            commented += 1
 
     # Duplicate windows of DUPLICATE_WINDOW non-blank stripped lines:
     # every window after the first of its kind is a repeat, so the count

@@ -8,12 +8,12 @@ tool output with CWE-classified vulnerability history.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
 from repro.analysis.artifact import artifact_for
 from repro.bugfind.findings import Finding, Severity
 from repro.lang.sourcefile import SourceFile
-from repro.lang.tokens import Token, TokenKind
+from repro.lang.tokens import TokenKind
 
 TOOL = "clint"
 
@@ -46,15 +46,16 @@ _RACE_PAIRS = (("access", "open"), ("stat", "open"), ("access", "fopen"),
 def check_unbounded_copy(source: SourceFile) -> List[Finding]:
     """CWE-121/120/242: use of inherently unbounded copy/input routines."""
     findings = []
-    tokens = source.code_tokens
+    columns = source.columns
+    texts, lines = columns.texts, columns.lines
     for i in artifact_for(source).call_sites:
-        name = tokens[i].text
+        name = texts[i]
         cwe = _UNBOUNDED_COPY.get(name)
         if cwe is None:
             continue
         severity = Severity.CRITICAL if name == "gets" else Severity.HIGH
         findings.append(
-            Finding(TOOL, f"unbounded-copy/{name}", source.path, tokens[i].line,
+            Finding(TOOL, f"unbounded-copy/{name}", source.path, lines[i],
                     severity, f"{name}() writes without a bound", cwe=cwe)
         )
     return findings
@@ -63,46 +64,47 @@ def check_unbounded_copy(source: SourceFile) -> List[Finding]:
 def check_format_string(source: SourceFile) -> List[Finding]:
     """CWE-134: format function whose format argument is not a literal."""
     findings = []
-    tokens = source.code_tokens
+    columns = source.columns
+    texts, lines = columns.texts, columns.lines
     for i in artifact_for(source).call_sites:
-        name = tokens[i].text
+        name = texts[i]
         if name not in _FORMAT_FUNCS:
             continue
-        fmt = _format_argument(tokens, i, name)
-        if fmt is not None and fmt.kind == TokenKind.IDENT:
+        fmt = _format_argument(texts, i, name)
+        if fmt >= 0 and columns.kinds[fmt] is TokenKind.IDENT:
             findings.append(
-                Finding(TOOL, "format-string", source.path, tokens[i].line,
+                Finding(TOOL, "format-string", source.path, lines[i],
                         Severity.HIGH,
-                        f"{name}() format argument {fmt.text!r} is not a literal",
+                        f"{name}() format argument {texts[fmt]!r} is not a literal",
                         cwe=134)
             )
     return findings
 
 
-def _format_argument(tokens: List[Token], call_idx: int, name: str) -> Optional[Token]:
-    """The token holding the format argument of a format-function call."""
+def _format_argument(texts: Sequence[str], call_idx: int, name: str) -> int:
+    """Index of the token holding a format call's format argument, or -1."""
     # printf(fmt, ...): arg 0; fprintf(stream, fmt, ...): arg 1;
     # snprintf(buf, size, fmt, ...): arg 2; syslog(pri, fmt, ...): arg 1.
     position = {"printf": 0, "vprintf": 0, "sprintf": 1, "fprintf": 1,
                 "syslog": 1, "snprintf": 2}[name]
     depth = 0
     arg = 0
-    for j in range(call_idx + 1, len(tokens)):
-        text = tokens[j].text
+    for j in range(call_idx + 1, len(texts)):
+        text = texts[j]
         if text == "(":
             depth += 1
             continue
         if text == ")":
             depth -= 1
             if depth == 0:
-                return None
+                return -1
             continue
         if text == "," and depth == 1:
             arg += 1
             continue
         if depth >= 1 and arg == position:
-            return tokens[j]
-    return None
+            return j
+    return -1
 
 
 def check_unchecked_allocation(source: SourceFile) -> List[Finding]:
@@ -112,32 +114,32 @@ def check_unchecked_allocation(source: SourceFile) -> List[Finding]:
     test appears within the rest of the same function-sized window.
     """
     findings = []
-    tokens = source.code_tokens
-    text_stream = [t.text for t in tokens]
+    columns = source.columns
+    texts, lines = columns.texts, columns.lines
     for i in artifact_for(source).call_sites:
-        if tokens[i].text not in _ALLOC_FUNCS:
+        if texts[i] not in _ALLOC_FUNCS:
             continue
-        if i < 2 or tokens[i - 1].text != "=":
+        if i < 2 or texts[i - 1] != "=":
             continue
-        var = tokens[i - 2]
-        if var.kind != TokenKind.IDENT:
+        if columns.kinds[i - 2] is not TokenKind.IDENT:
             continue
-        window = text_stream[i : i + 400]
+        var = texts[i - 2]
+        window = texts[i : i + 400]
         checked = False
         for j in range(len(window) - 1):
             a, b = window[j], window[j + 1]
-            if (a == var.text and b in ("==", "!=")) or (a == "!" and b == var.text):
+            if (a == var and b in ("==", "!=")) or (a == "!" and b == var):
                 checked = True
                 break
-            if a in ("if", "while") and b == "(" and var.text in window[j : j + 6]:
+            if a in ("if", "while") and b == "(" and var in window[j : j + 6]:
                 checked = True
                 break
         if not checked:
             findings.append(
-                Finding(TOOL, "unchecked-allocation", source.path, tokens[i].line,
+                Finding(TOOL, "unchecked-allocation", source.path, lines[i],
                         Severity.MEDIUM,
-                        f"result of {tokens[i].text}() assigned to "
-                        f"{var.text!r} but never NULL-checked", cwe=476)
+                        f"result of {texts[i]}() assigned to "
+                        f"{var!r} but never NULL-checked", cwe=476)
             )
     return findings
 
@@ -145,26 +147,27 @@ def check_unchecked_allocation(source: SourceFile) -> List[Finding]:
 def check_multiplication_in_alloc(source: SourceFile) -> List[Finding]:
     """CWE-190: unchecked multiplication inside an allocation size."""
     findings = []
-    tokens = source.code_tokens
+    columns = source.columns
+    kinds, texts = columns.kinds, columns.texts
     for i in artifact_for(source).call_sites:
-        if tokens[i].text not in ("malloc", "alloca", "realloc"):
+        if texts[i] not in ("malloc", "alloca", "realloc"):
             continue
         depth = 0
-        for j in range(i + 1, len(tokens)):
-            text = tokens[j].text
+        for j in range(i + 1, len(texts)):
+            text = texts[j]
             if text == "(":
                 depth += 1
             elif text == ")":
                 depth -= 1
                 if depth == 0:
                     break
-            elif text == "*" and depth == 1 and tokens[j - 1].text != "(":
+            elif text == "*" and depth == 1 and texts[j - 1] != "(":
                 # pointer deref `*p` has '(' or operator before it; size
                 # multiplications sit between operands.
-                if tokens[j - 1].kind in (TokenKind.IDENT, TokenKind.NUMBER):
+                if kinds[j - 1] in (TokenKind.IDENT, TokenKind.NUMBER):
                     findings.append(
                         Finding(TOOL, "alloc-size-overflow", source.path,
-                                tokens[i].line, Severity.MEDIUM,
+                                columns.lines[i], Severity.MEDIUM,
                                 "multiplication in allocation size may "
                                 "overflow", cwe=190)
                     )
@@ -175,16 +178,16 @@ def check_multiplication_in_alloc(source: SourceFile) -> List[Finding]:
 def check_command_injection(source: SourceFile) -> List[Finding]:
     """CWE-78: exec-family call with a non-literal command."""
     findings = []
-    tokens = source.code_tokens
+    columns = source.columns
+    kinds, texts = columns.kinds, columns.texts
     for i in artifact_for(source).call_sites:
-        if tokens[i].text not in _EXEC_FUNCS:
+        if texts[i] not in _EXEC_FUNCS:
             continue
-        nxt = tokens[i + 2] if i + 2 < len(tokens) else None
-        if nxt is not None and nxt.kind != TokenKind.STRING:
+        if i + 2 < len(texts) and kinds[i + 2] is not TokenKind.STRING:
             findings.append(
-                Finding(TOOL, "command-injection", source.path, tokens[i].line,
-                        Severity.CRITICAL,
-                        f"{tokens[i].text}() invoked with non-literal command",
+                Finding(TOOL, "command-injection", source.path,
+                        columns.lines[i], Severity.CRITICAL,
+                        f"{texts[i]}() invoked with non-literal command",
                         cwe=78)
             )
     return findings
@@ -193,12 +196,13 @@ def check_command_injection(source: SourceFile) -> List[Finding]:
 def check_toctou(source: SourceFile) -> List[Finding]:
     """CWE-367: check/use race — access()/stat() then open() on any path."""
     findings = []
-    tokens = source.code_tokens
-    calls = [(i, tokens[i].text) for i in artifact_for(source).call_sites]
+    columns = source.columns
+    texts = columns.texts
+    calls = [(i, texts[i]) for i in artifact_for(source).call_sites]
     for (i, first), (j, second) in zip(calls, calls[1:]):
         if (first, second) in _RACE_PAIRS:
             findings.append(
-                Finding(TOOL, "toctou", source.path, tokens[i].line,
+                Finding(TOOL, "toctou", source.path, columns.lines[i],
                         Severity.MEDIUM,
                         f"{first}() followed by {second}() is a check/use race",
                         cwe=367)
@@ -212,18 +216,21 @@ def check_weak_random(source: SourceFile) -> List[Finding]:
     A call site only counts when the file also names something
     security-relevant (a key, token, nonce, ...), case-insensitively.
     """
-    tokens = source.code_tokens
+    columns = source.columns
+    texts = columns.texts
     calls = [i for i in artifact_for(source).call_sites
-             if tokens[i].text in ("rand", "random", "srand")]
+             if texts[i] in ("rand", "random", "srand")]
     if not calls:
         return []
-    idents = {t.text.lower() for t in tokens if t.kind == TokenKind.IDENT}
+    ident = TokenKind.IDENT
+    idents = {text.lower() for kind, text in zip(columns.kinds, texts)
+              if kind is ident}
     if idents.isdisjoint(_SECURITY_IDENTS):
         return []
     return [
-        Finding(TOOL, "weak-random", source.path, tokens[i].line,
+        Finding(TOOL, "weak-random", source.path, columns.lines[i],
                 Severity.MEDIUM,
-                f"{tokens[i].text}() is predictable; use a CSPRNG", cwe=338)
+                f"{texts[i]}() is predictable; use a CSPRNG", cwe=338)
         for i in calls
     ]
 
@@ -242,7 +249,7 @@ C_CHECKERS = (
 def run(source: SourceFile) -> List[Finding]:
     """Run every C/C++ checker over one file (no-op for other languages).
 
-    The checkers share the file's code tokens and its artifact's
+    The checkers share the file's code-token columns and its artifact's
     call-site index.
     """
     if source.spec.name not in ("c", "cpp"):

@@ -46,8 +46,9 @@ def run(source: SourceFile) -> List[Finding]:
     walked once for all nine. Findings come out sorted on
     ``(line, rule)``; within one rule they keep token order.
     """
-    tokens = source.code_tokens
-    n = len(tokens)
+    columns = source.columns
+    kinds, texts, lines = columns.kinds, columns.texts, columns.lines
+    n = len(texts)
     is_python = source.spec.name == "python"
     path = source.path
     ident = TokenKind.IDENT
@@ -56,110 +57,103 @@ def run(source: SourceFile) -> List[Finding]:
     number = TokenKind.NUMBER
     findings: List[Finding] = []
     append = findings.append
-    for i, tok in enumerate(tokens):
-        kind = tok.kind
+    for i, (kind, text) in enumerate(zip(kinds, texts)):
         if kind is ident:
-            text = tok.text
             lowered = text.lower()
             if (lowered in _SECRET_NAMES and i < n - 2
-                    and tokens[i + 1].text == "="):
-                value = tokens[i + 2]
-                if value.kind is string and len(value.text) > 4:
+                    and texts[i + 1] == "="):
+                if kinds[i + 2] is string and len(texts[i + 2]) > 4:
                     append(Finding(
-                        TOOL, "hardcoded-secret", path, tok.line,
+                        TOOL, "hardcoded-secret", path, lines[i],
                         Severity.HIGH,
                         f"{text!r} assigned a literal secret", cwe=798))
             if (text in _EVAL_FUNCS and i < n - 2
-                    and tokens[i + 1].text == "("
-                    and tokens[i + 2].kind is not string):
+                    and texts[i + 1] == "("
+                    and kinds[i + 2] is not string):
                 append(Finding(
-                    TOOL, "dynamic-eval", path, tok.line,
+                    TOOL, "dynamic-eval", path, lines[i],
                     Severity.CRITICAL,
                     f"{text}() evaluates a dynamic expression", cwe=95))
             if lowered in _WEAK_CRYPTO:
                 append(Finding(
-                    TOOL, "weak-crypto", path, tok.line, Severity.MEDIUM,
+                    TOOL, "weak-crypto", path, lines[i], Severity.MEDIUM,
                     f"{lowered.upper()} is cryptographically broken",
                     cwe=327))
             if text in _PERMISSIVE_CALLS:
-                for w in tokens[i:i + 10]:
-                    if w.kind is number and w.text in _PERMISSIVE_MODES:
+                for w in range(i, min(i + 10, n)):
+                    if kinds[w] is number and texts[w] in _PERMISSIVE_MODES:
                         append(Finding(
-                            TOOL, "permissive-mode", path, tok.line,
+                            TOOL, "permissive-mode", path, lines[i],
                             Severity.MEDIUM,
-                            f"{text}() with world-writable mode {w.text}",
+                            f"{text}() with world-writable mode {texts[w]}",
                             cwe=732))
                         break
             if i < n - 2:
                 if (text in _DESERIAL_MODULES
-                        and tokens[i + 1].text == "."
-                        and tokens[i + 2].text in _DESERIAL_FUNCS
+                        and texts[i + 1] == "."
+                        and texts[i + 2] in _DESERIAL_FUNCS
                         and not (text == "yaml"
-                                 and "safe" in tokens[i + 2].text)):
+                                 and "safe" in texts[i + 2])):
                     append(Finding(
-                        TOOL, "unsafe-deserialization", path, tok.line,
+                        TOOL, "unsafe-deserialization", path, lines[i],
                         Severity.HIGH,
-                        f"{text}.{tokens[i + 2].text}() deserialises "
+                        f"{text}.{texts[i + 2]}() deserialises "
                         "untrusted data", cwe=502))
-                if text == "readObject" and tokens[i + 1].text == "(":
+                if text == "readObject" and texts[i + 1] == "(":
                     append(Finding(
-                        TOOL, "unsafe-deserialization", path, tok.line,
+                        TOOL, "unsafe-deserialization", path, lines[i],
                         Severity.HIGH,
                         "readObject() deserialises untrusted data",
                         cwe=502))
             if (text in _TEMPFILE_FUNCS and i + 1 < n
-                    and tokens[i + 1].text == "("):
+                    and texts[i + 1] == "("):
                 append(Finding(
-                    TOOL, "insecure-tempfile", path, tok.line,
+                    TOOL, "insecure-tempfile", path, lines[i],
                     Severity.MEDIUM,
                     f"{text}() creates a predictable temp path", cwe=377))
         elif kind is string:
-            text = tok.text
             lowered = text.lower()
             if any(verb in lowered for verb in _SQL_VERBS):
-                nxt = tokens[i + 1] if i + 1 < n else None
-                after = tokens[i + 2] if i + 2 < n else None
-                if (nxt is not None and nxt.text == "+"
-                        and after is not None and after.kind is ident):
+                if (i + 2 < n and texts[i + 1] == "+"
+                        and kinds[i + 2] is ident):
                     append(Finding(
-                        TOOL, "sql-concatenation", path, tok.line,
+                        TOOL, "sql-concatenation", path, lines[i],
                         Severity.HIGH,
                         "SQL statement built by string concatenation",
                         cwe=89))
             stripped = lowered.strip("\"'")
             if stripped in _WEAK_CRYPTO:
                 append(Finding(
-                    TOOL, "weak-crypto", path, tok.line, Severity.MEDIUM,
+                    TOOL, "weak-crypto", path, lines[i], Severity.MEDIUM,
                     f"{stripped.upper()} is cryptographically broken",
                     cwe=327))
             if "/tmp/" in text:
                 append(Finding(
-                    TOOL, "insecure-tempfile", path, tok.line,
+                    TOOL, "insecure-tempfile", path, lines[i],
                     Severity.LOW,
                     "hardcoded /tmp path invites symlink races", cwe=377))
         elif kind is keyword:
-            text = tok.text
             if text in ("catch", "except"):
                 j = i + 1
-                while j < n and tokens[j].text not in ("{", ":"):
+                while j < n and texts[j] not in ("{", ":"):
                     j += 1
                 if j < n:
-                    if tokens[j].text == "{":
-                        if j + 1 < n and tokens[j + 1].text == "}":
+                    if texts[j] == "{":
+                        if j + 1 < n and texts[j + 1] == "}":
                             append(Finding(
-                                TOOL, "swallowed-exception", path, tok.line,
+                                TOOL, "swallowed-exception", path, lines[i],
                                 Severity.LOW, "empty catch block", cwe=390))
-                    elif j + 1 < n and tokens[j + 1].text == "pass":
+                    elif j + 1 < n and texts[j + 1] == "pass":
                         append(Finding(
-                            TOOL, "swallowed-exception", path, tok.line,
+                            TOOL, "swallowed-exception", path, lines[i],
                             Severity.LOW, "except clause only passes",
                             cwe=390))
             elif is_python and text == "assert":
-                window = {t.text.lower() for t in tokens[i + 1:i + 8]
-                          if t.kind is ident}
+                window = {texts[w].lower() for w in range(i + 1, min(i + 8, n))
+                          if kinds[w] is ident}
                 if window & _ASSERT_INPUT_NAMES:
                     append(Finding(
-                        TOOL, "assert-validation", path, tok.line,
+                        TOOL, "assert-validation", path, lines[i],
                         Severity.MEDIUM,
                         "assert validates external input but vanishes "
                         "under -O", cwe=617))

@@ -30,25 +30,26 @@ def check_memory_lifecycle(source: SourceFile) -> List[Finding]:
     """
     findings: List[Finding] = []
     ident = TokenKind.IDENT
+    columns = source.columns
+    kinds, texts, lines = columns.kinds, columns.texts, columns.lines
     for func in artifact_for(source).functions:
-        tokens = func.body_tokens  # already code-filtered by the parser
-        n = len(tokens)
+        lo, n = func.body_start, func.body_end
         freed: Set[str] = set()
         allocated: Dict[str, int] = {}
         skip = -1  # the argument of the last free, consumed by it
-        for i, tok in enumerate(tokens):
-            if i == skip or tok.kind is not ident:
+        for i in range(lo, n):
+            if i == skip or kinds[i] is not ident:
                 continue
-            var = tok.text
-            nxt = tokens[i + 1].text if i + 1 < n else None
+            var = texts[i]
+            nxt = texts[i + 1] if i + 1 < n else None
             if nxt == "(" and var == "free":
-                if i + 2 < n and tokens[i + 2].kind is ident:
+                if i + 2 < n and kinds[i + 2] is ident:
                     skip = i + 2
-                    var = tokens[skip].text
+                    var = texts[skip]
                     if var in freed:
                         findings.append(
                             Finding(TOOL, "double-free", source.path,
-                                    tok.line, Severity.CRITICAL,
+                                    lines[i], Severity.CRITICAL,
                                     f"{var!r} freed twice in {func.name}()",
                                     cwe=415)
                         )
@@ -57,19 +58,19 @@ def check_memory_lifecycle(source: SourceFile) -> List[Finding]:
                 continue
             if nxt == "(" and var in _ALLOC:
                 # `p = malloc(...)` — the assigned variable is two back.
-                if i >= 2 and tokens[i - 1].text == "=" \
-                        and tokens[i - 2].kind is ident:
-                    var = tokens[i - 2].text
-                    allocated[var] = tok.line
+                if i >= lo + 2 and texts[i - 1] == "=" \
+                        and kinds[i - 2] is ident:
+                    var = texts[i - 2]
+                    allocated[var] = lines[i]
                     freed.discard(var)  # realloc-style reuse
                 continue
             if var not in freed:
                 continue  # only a freed variable's next mention matters
-            if nxt == "=" and i + 2 < n and tokens[i + 2].text != "=":
+            if nxt == "=" and i + 2 < n and texts[i + 2] != "=":
                 freed.discard(var)  # reassignment gives a fresh object
             elif nxt in ("[", "->") or (var not in _ALLOC and var != "free"):
                 findings.append(
-                    Finding(TOOL, "use-after-free", source.path, tok.line,
+                    Finding(TOOL, "use-after-free", source.path, lines[i],
                             Severity.CRITICAL,
                             f"{var!r} used after free in {func.name}()",
                             cwe=416)

@@ -18,7 +18,7 @@ from repro.bugfind.findings import Finding, Severity
 from repro.lang.sourcefile import Codebase, SourceFile
 
 #: The registered tools, by name. Each maps a file to findings, reading
-#: the file's shared views (``SourceFile.code_tokens``, ``artifact_for``).
+#: the file's shared views (``SourceFile.columns``, ``artifact_for``).
 TOOLS: Dict[str, Callable[..., List[Finding]]] = {
     c_checkers.TOOL: c_checkers.run,
     generic_checkers.TOOL: generic_checkers.run,

@@ -723,9 +723,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # One root trace ID per invocation: every span this run records
         # (worker-grafted ones included) carries it, so the exported
         # JSONL is a single connected trace.
+        # Only a trace file or a profile report reads the finished
+        # spans back, so a --stream-only session keeps none.
         session = obs.configure(profile=profile, trace_path=trace_path,
                                 stream_path=stream_path,
-                                trace_id=obs.new_trace_id())
+                                trace_id=obs.new_trace_id(),
+                                keep_spans=bool(trace_path or profile))
     try:
         try:
             code = args.func(args)

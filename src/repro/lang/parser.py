@@ -1,4 +1,4 @@
-"""Lightweight structural recovery: functions and classes from token streams.
+"""Lightweight structural recovery: functions and classes from token columns.
 
 This is not a full parser. The paper's testbed needs, per file, the set of
 function definitions with their parameter counts, extents, and nesting —
@@ -10,10 +10,11 @@ uses indentation.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lang.sourcefile import SourceFile
 from repro.lang.tokens import Token, TokenKind
@@ -21,25 +22,51 @@ from repro.lang.tokens import Token, TokenKind
 # C-like identifiers that look like calls-with-body but are not functions.
 _NOT_FUNCTIONS = frozenset({"sizeof", "defined"})
 
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+_OPERATOR = TokenKind.OPERATOR
+
 
 @dataclass
 class FunctionInfo:
-    """A recovered function/method definition."""
+    """A recovered function/method definition.
+
+    The body is the index range ``body_start:body_end`` of the file's
+    code-token columns (``SourceFile.columns``), which the analyzers
+    read directly.
+    """
 
     name: str
     start_line: int
     end_line: int
     param_count: int
     param_names: List[str] = field(default_factory=list)
-    body_tokens: List[Token] = field(default_factory=list)
+    body_start: int = 0
+    body_end: int = 0
     max_nesting: int = 0
     owner: Optional[str] = None  # enclosing class, if any
     is_public: bool = True
+    _source_ref: Optional[weakref.ref] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def length(self) -> int:
         """Physical length of the function in lines."""
         return self.end_line - self.start_line + 1
+
+    @property
+    def body_tokens(self) -> List[Token]:
+        """The body as ``Token`` objects, from the file's ``code_tokens``.
+
+        For callers outside the analysis path; it builds the file's
+        ``Token`` view on first use. The file is held weakly, like the
+        analysis artifact holds it.
+        """
+        source = self._source_ref() if self._source_ref is not None else None
+        if source is None:
+            raise ReferenceError(
+                f"function {self.name!r} outlived its SourceFile")
+        return source.code_tokens[self.body_start:self.body_end]
 
 
 @dataclass
@@ -103,11 +130,11 @@ def _methods_within(functions: List[FunctionInfo], starts: List[int],
 # ---------------------------------------------------------------------------
 
 
-def _match_paren(tokens: List[Token], open_idx: int) -> int:
-    """Index of the ')' matching tokens[open_idx] == '(' or -1."""
+def _match_paren(texts: Sequence[str], open_idx: int) -> int:
+    """Index of the ')' matching texts[open_idx] == '(' or -1."""
     depth = 0
-    for j in range(open_idx, len(tokens)):
-        text = tokens[j].text
+    for j in range(open_idx, len(texts)):
+        text = texts[j]
         if text == "(":
             depth += 1
         elif text == ")":
@@ -117,42 +144,44 @@ def _match_paren(tokens: List[Token], open_idx: int) -> int:
     return -1
 
 
-def _match_brace(tokens: List[Token], open_idx: int) -> int:
-    """Index of the '}' matching tokens[open_idx] == '{' or last index."""
+def _match_brace(texts: Sequence[str], open_idx: int) -> int:
+    """Index of the '}' matching texts[open_idx] == '{' or last index."""
     depth = 0
-    for j in range(open_idx, len(tokens)):
-        text = tokens[j].text
+    for j in range(open_idx, len(texts)):
+        text = texts[j]
         if text == "{":
             depth += 1
         elif text == "}":
             depth -= 1
             if depth == 0:
                 return j
-    return len(tokens) - 1
+    return len(texts) - 1
 
 
-def _parse_params(tokens: List[Token]) -> List[str]:
-    """Parameter names from the token slice between '(' and ')'.
+def _parse_params(kinds: Sequence[TokenKind], texts: Sequence[str],
+                  lo: int, hi: int) -> List[str]:
+    """Parameter names from the tokens ``lo:hi`` between '(' and ')'.
 
     Each comma-separated group at paren depth 1 contributes one parameter;
     its name is the last identifier in the group (C declarator style).
     A bare ``void`` or an empty list yields no parameters.
     """
-    groups: List[List[Token]] = [[]]
+    groups: List[List[int]] = [[]]
     depth = 0
-    for tok in tokens:
-        if tok.text in "([":
+    for j in range(lo, hi):
+        text = texts[j]
+        if text in "([":
             depth += 1
-        elif tok.text in ")]":
+        elif text in ")]":
             depth -= 1
-        if tok.text == "," and depth == 0:
+        if text == "," and depth == 0:
             groups.append([])
         else:
-            groups[-1].append(tok)
+            groups[-1].append(j)
     names: List[str] = []
     for group in groups:
-        idents = [t.text for t in group if t.kind == TokenKind.IDENT]
-        keywords = [t.text for t in group if t.kind == TokenKind.KEYWORD]
+        idents = [texts[j] for j in group if kinds[j] is _IDENT]
+        keywords = [texts[j] for j in group if kinds[j] is _KEYWORD]
         if not idents and keywords == ["void"]:
             continue
         if not idents and not keywords:
@@ -161,105 +190,108 @@ def _parse_params(tokens: List[Token]) -> List[str]:
     return names
 
 
-def _body_nesting(tokens: List[Token]) -> int:
-    """Maximum brace depth inside a body token slice (body braces excluded)."""
+def _body_nesting(texts: Sequence[str], lo: int, hi: int) -> int:
+    """Maximum brace depth inside tokens ``lo:hi`` (body braces excluded)."""
     depth = 0
     deepest = 0
-    for tok in tokens:
-        if tok.text == "{":
+    for j in range(lo, hi):
+        text = texts[j]
+        if text == "{":
             depth += 1
-            deepest = max(deepest, depth)
-        elif tok.text == "}":
+            if depth > deepest:
+                deepest = depth
+        elif text == "}":
             depth -= 1
     return max(deepest - 1, 0)
 
 
 def _extract_brace_functions(source: SourceFile) -> List[FunctionInfo]:
-    tokens = source.code_tokens
+    columns = source.columns
+    kinds, texts, lines = columns.kinds, columns.texts, columns.lines
+    source_ref = weakref.ref(source)
     functions: List[FunctionInfo] = []
     i = 0
-    n = len(tokens)
+    n = len(texts)
     while i < n:
-        tok = tokens[i]
-        if tok.kind != TokenKind.IDENT or tok.text in _NOT_FUNCTIONS:
+        if kinds[i] is not _IDENT or texts[i] in _NOT_FUNCTIONS:
             i += 1
             continue
-        if i + 1 >= n or tokens[i + 1].text != "(":
+        if i + 1 >= n or texts[i + 1] != "(":
             i += 1
             continue
-        close = _match_paren(tokens, i + 1)
+        close = _match_paren(texts, i + 1)
         if close < 0:
             i += 1
             continue
         # Allow trailing qualifiers between ')' and '{': const, noexcept,
         # throws A, B — identifiers/keywords/commas only.
         j = close + 1
-        while j < n and (
-            tokens[j].kind in (TokenKind.IDENT, TokenKind.KEYWORD)
-            or tokens[j].text == ","
-        ):
+        while j < n and (kinds[j] is _IDENT or kinds[j] is _KEYWORD
+                         or texts[j] == ","):
             j += 1
-        if j >= n or tokens[j].text != "{":
+        if j >= n or texts[j] != "{":
             i += 1
             continue
         # Reject control-flow-shaped constructs: `name (...)` preceded by
         # `.`/`->` is a method call; preceded by `=` it's an initialiser.
-        if i > 0 and tokens[i - 1].text in (".", "->", "=", "return", "new"):
+        if i > 0 and texts[i - 1] in (".", "->", "=", "return", "new"):
             i = close + 1
             continue
-        end = _match_brace(tokens, j)
-        body = tokens[j : end + 1]
-        params = _parse_params(tokens[i + 2 : close])
+        end = _match_brace(texts, j)
+        params = _parse_params(kinds, texts, i + 2, close)
         functions.append(
             FunctionInfo(
-                name=tok.text,
-                start_line=tok.line,
-                end_line=tokens[end].line,
+                name=texts[i],
+                start_line=lines[i],
+                end_line=lines[end],
                 param_count=len(params),
                 param_names=params,
-                body_tokens=body,
-                max_nesting=_body_nesting(body),
-                is_public=_brace_is_public(tokens, i),
+                body_start=j,
+                body_end=end + 1,
+                max_nesting=_body_nesting(texts, j, end + 1),
+                is_public=_brace_is_public(texts, i),
+                _source_ref=source_ref,
             )
         )
         i = end + 1
     return functions
 
 
-def _brace_is_public(tokens: List[Token], name_idx: int) -> bool:
+def _brace_is_public(texts: Sequence[str], name_idx: int) -> bool:
     """Heuristic visibility: static (C) / private-protected (Java) are not.
 
     Only the current declaration's own modifiers count, so the scan stops
     at the previous statement/block boundary.
     """
-    modifiers = set()
     for j in range(name_idx - 1, max(-1, name_idx - 8), -1):
-        text = tokens[j].text
+        text = texts[j]
         if text in (";", "{", "}"):
             break
-        modifiers.add(text)
-    return not modifiers & {"static", "private", "protected"}
+        if text in ("static", "private", "protected"):
+            return False
+    return True
 
 
 def _extract_brace_classes(
     source: SourceFile, functions: List[FunctionInfo]
 ) -> List[ClassInfo]:
-    tokens = source.code_tokens
+    columns = source.columns
+    kinds, texts, lines = columns.kinds, columns.texts, columns.lines
     starts = [f.start_line for f in functions]
     classes: List[ClassInfo] = []
     i = 0
-    n = len(tokens)
+    n = len(texts)
     while i < n:
-        tok = tokens[i]
-        if tok.kind == TokenKind.KEYWORD and tok.text in ("class", "struct", "interface"):
-            if i + 1 < n and tokens[i + 1].kind == TokenKind.IDENT:
-                name = tokens[i + 1].text
+        if kinds[i] is _KEYWORD and texts[i] in ("class", "struct",
+                                                 "interface"):
+            if i + 1 < n and kinds[i + 1] is _IDENT:
+                name = texts[i + 1]
                 j = i + 2
-                while j < n and tokens[j].text not in ("{", ";"):
+                while j < n and texts[j] not in ("{", ";"):
                     j += 1
-                if j < n and tokens[j].text == "{":
-                    end = _match_brace(tokens, j)
-                    start_line, end_line = tok.line, tokens[end].line
+                if j < n and texts[j] == "{":
+                    end = _match_brace(texts, j)
+                    start_line, end_line = lines[i], lines[end]
                     methods = _methods_within(functions, starts,
                                               start_line, end_line)
                     for m in methods:
@@ -298,9 +330,10 @@ def _python_blocks(source: SourceFile) -> Dict[int, Tuple[int, int]]:
         return source._suites
     blocks: Dict[int, Tuple[int, int]] = {}
     source._suites = blocks
-    wanted = {tok.line for tok in source.code_tokens
-              if tok.kind == TokenKind.KEYWORD
-              and tok.text in ("def", "class")}
+    columns = source.columns
+    wanted = {line for kind, text, line
+              in zip(columns.kinds, columns.texts, columns.lines)
+              if kind is _KEYWORD and (text == "def" or text == "class")}
     if not wanted:
         return blocks
     pending: List[Tuple[int, int, int]] = []  # (-indent, line, indent)
@@ -344,46 +377,49 @@ def _python_blocks(source: SourceFile) -> Dict[int, Tuple[int, int]]:
 
 
 def _extract_python_functions(source: SourceFile) -> List[FunctionInfo]:
-    tokens = source.code_tokens
+    columns = source.columns
+    kinds, texts, lines = columns.kinds, columns.texts, columns.lines
+    source_ref = weakref.ref(source)
     # Tokens are in line order, so a body is the run of tokens after the
     # header's ')' up to the block's last line: one bisection, not a scan.
-    token_lines = [t.line for t in tokens]
-    n = len(tokens)
+    n = len(texts)
     headers = []  # (def token index, index of its ')')
-    for i, tok in enumerate(tokens):
-        if tok.kind != TokenKind.KEYWORD or tok.text != "def":
+    for i, (kind, text) in enumerate(zip(kinds, texts)):
+        if kind is not _KEYWORD or text != "def":
             continue
-        if i + 2 >= n or tokens[i + 1].kind != TokenKind.IDENT:
+        if i + 2 >= n or kinds[i + 1] is not _IDENT:
             continue
-        if tokens[i + 2].text != "(":
+        if texts[i + 2] != "(":
             continue
-        close = _match_paren(tokens, i + 2)
+        close = _match_paren(texts, i + 2)
         if close >= 0:
             headers.append((i, close))
     blocks = _python_blocks(source)
     functions: List[FunctionInfo] = []
     for i, close in headers:
-        name_tok = tokens[i + 1]
-        end_line, deepest = blocks[tokens[i].line]
-        params = _python_params(tokens[i + 3 : close])
-        body = tokens[close + 1 : bisect_right(token_lines, end_line, close + 1)]
+        name = texts[i + 1]
+        end_line, deepest = blocks[lines[i]]
+        params = _python_params(kinds, texts, i + 3, close)
         functions.append(
             FunctionInfo(
-                name=name_tok.text,
-                start_line=tokens[i].line,
+                name=name,
+                start_line=lines[i],
                 end_line=end_line,
                 param_count=len(params),
                 param_names=params,
-                body_tokens=body,
+                body_start=close + 1,
+                body_end=bisect_right(lines, end_line, close + 1),
                 max_nesting=max(deepest // 4 - 1, 0),
-                is_public=not name_tok.text.startswith("_"),
+                is_public=not name.startswith("_"),
+                _source_ref=source_ref,
             )
         )
     return functions
 
 
-def _python_params(tokens: List[Token]) -> List[str]:
-    """Parameter names among a def's parenthesised tokens.
+def _python_params(kinds: Sequence[TokenKind], texts: Sequence[str],
+                   lo: int, hi: int) -> List[str]:
+    """Parameter names among a def's parenthesised tokens ``lo:hi``.
 
     A parameter name is an identifier at paren depth 0 (relative to the
     def's parens) that begins its comma-separated group, after any
@@ -392,8 +428,8 @@ def _python_params(tokens: List[Token]) -> List[str]:
     params = []
     depth = 0
     group_start = True
-    for tok in tokens:
-        text = tok.text
+    for j in range(lo, hi):
+        text = texts[j]
         if text in "([{":
             depth += 1
         elif text in ")]}":
@@ -401,9 +437,10 @@ def _python_params(tokens: List[Token]) -> List[str]:
         elif text == "," and depth == 0:
             group_start = True
             continue
-        if tok.kind == TokenKind.IDENT and depth == 0 and group_start:
+        kind = kinds[j]
+        if kind is _IDENT and depth == 0 and group_start:
             params.append(text)
-        if tok.kind != TokenKind.OPERATOR or text not in ("*", "**"):
+        if kind is not _OPERATOR or text not in ("*", "**"):
             group_start = False
     return params
 
@@ -411,21 +448,23 @@ def _python_params(tokens: List[Token]) -> List[str]:
 def _extract_python_classes(
     source: SourceFile, functions: List[FunctionInfo]
 ) -> List[ClassInfo]:
-    tokens = source.code_tokens
+    columns = source.columns
+    kinds, texts, lines = columns.kinds, columns.texts, columns.lines
     starts = [f.start_line for f in functions]
+    n = len(texts)
     headers = [
-        i for i, tok in enumerate(tokens)
-        if tok.kind == TokenKind.KEYWORD and tok.text == "class"
-        and i + 1 < len(tokens) and tokens[i + 1].kind == TokenKind.IDENT
+        i for i, (kind, text) in enumerate(zip(kinds, texts))
+        if kind is _KEYWORD and text == "class"
+        and i + 1 < n and kinds[i + 1] is _IDENT
     ]
     blocks = _python_blocks(source)
     classes: List[ClassInfo] = []
     for i in headers:
-        tok = tokens[i]
-        name = tokens[i + 1].text
-        end_line = blocks[tok.line][0]
-        methods = _methods_within(functions, starts, tok.line + 1, end_line)
+        line = lines[i]
+        name = texts[i + 1]
+        end_line = blocks[line][0]
+        methods = _methods_within(functions, starts, line + 1, end_line)
         for m in methods:
             m.owner = name
-        classes.append(ClassInfo(name, tok.line, end_line, methods))
+        classes.append(ClassInfo(name, line, end_line, methods))
     return classes

@@ -1,10 +1,16 @@
-"""Token model shared by all lexers.
+"""Token model shared by the lexer and its callers.
 
 The analysis substrate operates on flat token streams rather than full
 abstract syntax trees: every metric the paper draws on (LoC, McCabe,
 Halstead, declaration counts, smells, bug patterns) is computable from
-tokens plus light structural recovery, which keeps the lexers small enough
+tokens plus light structural recovery, which keeps the lexer small enough
 to be correct for four languages.
+
+The analyzers read tokens as columns (:class:`repro.lang.lexer.
+TokenColumns`: one :class:`TokenKind` list, one text list, one line
+list). :class:`Token` is the per-lexeme object of the ``Token`` views
+(``SourceFile.tokens``, ``code_tokens``, :func:`repro.lang.tokenize`)
+that callers outside the analysis path use.
 """
 
 from __future__ import annotations
@@ -48,11 +54,10 @@ NON_CODE_KINDS = frozenset({TokenKind.COMMENT, TokenKind.NEWLINE})
 class Token:
     """A single lexical token.
 
-    A plain ``__slots__`` class rather than a dataclass: the lexer
-    constructs one per lexeme (hundreds of thousands per tree), and a
-    direct ``__init__`` is several times faster than the frozen
-    dataclass ``object.__setattr__`` path while keeping the same field
-    order, defaults, equality, and repr.
+    A plain ``__slots__`` class rather than a dataclass: a ``Token``
+    view holds one per lexeme, and a direct ``__init__`` is several
+    times faster than the frozen dataclass ``object.__setattr__`` path
+    while keeping the same field order, defaults, equality, and repr.
 
     Attributes:
         kind: the :class:`TokenKind` classification.

@@ -116,13 +116,14 @@ class ObsSession:
     def __init__(self, profile: bool = False,
                  trace_path: Optional[str] = None,
                  stream: Optional[TelemetryStream] = None,
-                 trace_id: Optional[str] = None):
+                 trace_id: Optional[str] = None,
+                 keep_spans: bool = True):
         self.profile = profile
         self.trace_path = trace_path
         self.stream = stream
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(on_finish=self._span_finished,
-                             trace_id=trace_id)
+                             trace_id=trace_id, keep_spans=keep_spans)
 
     def _span_finished(self, span: Span) -> None:
         self.metrics.histogram(f"span.{span.name}.seconds").observe(
@@ -169,12 +170,18 @@ def configure(profile: bool = False,
               trace_path: Optional[str] = None,
               stream_path: Optional[str] = None,
               stream_max_bytes: Optional[int] = None,
-              trace_id: Optional[str] = None) -> ObsSession:
+              trace_id: Optional[str] = None,
+              keep_spans: bool = True) -> ObsSession:
     """Enable observability with a fresh session (replacing any prior).
 
     ``stream_path`` attaches a rotating telemetry event stream;
     ``trace_id`` sets the tracer-wide default trace ID every span
     recorded outside an explicit :func:`trace_scope` inherits.
+    ``keep_spans=False`` makes a session that keeps no finished spans:
+    they still feed its ``span.<name>.seconds`` histograms and its
+    stream, but nothing can export or report them later. A session
+    that lives as long as a server, with no trace file or profile to
+    write, needs nothing more.
     """
     global _session
     stream = None
@@ -186,7 +193,8 @@ def configure(profile: bool = False,
     if _session is not None:
         _session.close()
     _session = ObsSession(profile=profile, trace_path=trace_path,
-                          stream=stream, trace_id=trace_id)
+                          stream=stream, trace_id=trace_id,
+                          keep_spans=keep_spans)
     if _on_gc not in gc.callbacks:
         gc.callbacks.append(_on_gc)
     return _session

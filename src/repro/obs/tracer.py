@@ -5,7 +5,10 @@ entered while another is open on the same thread becomes its child
 (``parent_id`` links them, and the parent's ``child_time`` grows by the
 child's duration on exit). Finished spans land on :attr:`Tracer.spans`
 in completion order, ready for the JSONL exporter and the run-report
-aggregator.
+aggregator, unless the tracer was made with ``keep_spans=False``: a
+long-lived session that only feeds histograms and a stream (the
+daemon's) hands each finished span to ``on_finish`` and keeps none, so
+its memory does not grow with every request.
 
 Threading model: span *nesting* is thread-local (each thread nests its
 own spans — the serving daemon's handler threads each build their own
@@ -43,11 +46,13 @@ class Tracer:
         trace_id: default trace ID stamped on spans recorded while no
             thread-local trace scope is bound (the CLI's per-invocation
             root ID). None leaves unscoped spans untraced.
+        keep_spans: whether finished spans are kept on :attr:`spans`.
     """
 
     def __init__(self, on_finish: Optional[Callable[[Span], None]] = None,
-                 trace_id: Optional[str] = None):
+                 trace_id: Optional[str] = None, keep_spans: bool = True):
         self.spans: List[Span] = []
+        self.keep_spans = keep_spans
         self.trace_id = trace_id
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -70,8 +75,9 @@ class Tracer:
         return span_id
 
     def _collect(self, span: Span) -> None:
-        with self._lock:
-            self.spans.append(span)
+        if self.keep_spans:
+            with self._lock:
+                self.spans.append(span)
         if self._on_finish is not None:
             self._on_finish(span)
 

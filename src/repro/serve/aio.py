@@ -128,9 +128,10 @@ class AsyncPredictionServer:
         self.access_log = AccessLog(access_log) if access_log else None
         # /metricz needs a registry even when the CLI passed no
         # --profile/--trace; reuse an existing session rather than
-        # clobbering the one main() configured.
+        # clobbering the one main() configured. Nothing exports this
+        # session's spans, so it keeps none (its histograms still fill).
         if not obs.is_enabled():
-            obs.configure()
+            obs.configure(keep_spans=False)
         self.pool = EnginePool(
             config, size=pool_size, checkout_timeout=checkout_timeout)
         # Enough handlers to keep every engine busy while the rest

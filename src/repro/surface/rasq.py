@@ -101,12 +101,14 @@ def measure_file(source) -> AttackSurface:
     """The :class:`AttackSurface` contribution of one file."""
     channel_counts = {channel: 0 for channel in CHANNEL_WEIGHTS}
     privilege = 0
-    tokens = source.code_tokens
-    for i, tok in enumerate(tokens):
-        if tok.kind != TokenKind.IDENT:
+    columns = source.columns
+    texts = columns.texts
+    n = len(texts)
+    ident = TokenKind.IDENT
+    for i, (kind, name) in enumerate(zip(columns.kinds, texts)):
+        if kind is not ident:
             continue
-        is_call = i + 1 < len(tokens) and tokens[i + 1].text == "("
-        name = tok.text
+        is_call = i + 1 < n and texts[i + 1] == "("
         if name in _PRIVILEGE_APIS:
             privilege += 1
             continue

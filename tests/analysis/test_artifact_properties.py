@@ -10,11 +10,14 @@ Random C-like and Python-like programs (plus raw text noise) must uphold:
   exactly for comment-free single-byte sources, and token line numbers
   agree with ``str.splitlines`` arithmetic in general;
 - artifact caching is idempotent: repeated property access returns the
-  same objects.
+  same objects;
+- ``file_record`` reads only the code-token columns: it builds no
+  ``Token`` on any language, and leaves the ``Token`` views unbuilt.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,3 +219,73 @@ def test_artifact_holds_its_source_weakly():
     with pytest.raises(ReferenceError, match="lib/t.c"):
         art.tokens
     assert "lib/t.c" in repr(art)
+
+
+# -- the hot path reads columns, never Token objects ------------------------
+
+_ONE_FILE_PER_LANGUAGE = {
+    "t.c": (
+        "#include <string.h>\n"
+        "/* a block\n   comment */\n"
+        "static int copy(char *dst, const char *src) {\n"
+        "    if (!dst) { return -1; }  // guard\n"
+        "    strcpy(dst, src);\n"
+        "    return 0;\n"
+        "}\n"
+    ),
+    "t.cpp": (
+        "#define N 1'000\n"
+        "class Box : public Base {\n"
+        "  public:\n"
+        "    int area(int w, int h) { return w * h > N ? N : w * h; }\n"
+        "};\n"
+    ),
+    "t.java": (
+        "class Account extends Base {\n"
+        "    private int balance = 0x10;\n"
+        "    public void add(int n) { for (int i = 0; i < n; i++) "
+        "{ balance += i; } }\n"
+        "}\n"
+    ),
+    "t.py": (
+        "class Handler(Base):\n"
+        '    """Doc\n    string."""\n'
+        "    def run(self, data):  # TODO: validate\n"
+        "        self.size = len(data)\n"
+        "        if data and self.size > 10:\n"
+        "            return eval(data)\n"
+        "        return None\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_ONE_FILE_PER_LANGUAGE))
+def test_file_record_builds_no_token(path, monkeypatch):
+    from repro.lang.tokens import Token
+
+    built = []
+    original = Token.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Token, "__init__", counting_init)
+    source = SourceFile(path, _ONE_FILE_PER_LANGUAGE[path])
+    file_record(source)
+    assert built == []
+    assert source._tokens is None
+    assert source._code_tokens is None
+    # The probe does see the Token views when something asks for them.
+    assert source.code_tokens and built
+
+
+def test_unpickled_sourcefile_has_no_cached_columns():
+    import pickle
+
+    source = SourceFile("t.c", _ONE_FILE_PER_LANGUAGE["t.c"])
+    columns = source.columns  # populate the cache
+    assert source.columns is columns
+    clone = pickle.loads(pickle.dumps(source))
+    assert clone._columns is None
+    assert clone.columns.texts == columns.texts
