@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end smoke test for the telemetry stack (CI monitor-smoke leg).
 
-Boots a real `repro serve` subprocess with an SLO rule file, a
-telemetry stream, and a structured access log, drives traffic at it,
-and checks the observability contract from the outside:
+Boots a real `repro serve` subprocess with an SLO rule file and a
+telemetry stream, drives traffic at it, and checks the observability
+contract from the outside:
 
 1. `/metricz` negotiates: `Accept: text/plain` serves parseable
    Prometheus text exposition; the default stays the JSON snapshot;
@@ -11,8 +11,10 @@ and checks the observability contract from the outside:
    traffic;
 3. responses echo the request's trace identity (`X-Trace-Id`,
    `traceparent`), honouring an inbound `traceparent` header;
-4. the access log holds one well-formed JSON line per request with the
-   matching trace ID;
+4. the stream holds one `serve.request` span event per handled
+   request, carrying every access-record field (method, endpoint,
+   status, trace ID, duration, rows scored, shed flag) and the
+   propagated trace ID;
 5. after SIGTERM, `repro slo-check --stream` exits 0 against the
    exported healthy stream, and exits non-zero naming the breached
    rule against a synthetically degraded stream;
@@ -112,7 +114,6 @@ def main() -> int:
     model = os.path.join(workdir, "model.pkl")
     slo_path = os.path.join(workdir, "slo.json")
     stream_path = os.path.join(workdir, "telemetry.jsonl")
-    access_path = os.path.join(workdir, "access.jsonl")
     with open(slo_path, "w", encoding="utf-8") as handle:
         json.dump(SLO_RULES, handle)
 
@@ -125,13 +126,13 @@ def main() -> int:
     port = free_port()
     base = f"http://127.0.0.1:{port}"
     stderr_path = os.path.join(workdir, "daemon.stderr")
-    step(f"booting repro serve with SLO + stream + access log on {port}")
+    step(f"booting repro serve with SLO + stream on {port}")
     try:
         server, health = boot_daemon(
             [sys.executable, "-m", "repro",
              "--stream", stream_path,
              "serve", "--model", model, "--port", str(port),
-             "--slo", slo_path, "--access-log", access_path],
+             "--slo", slo_path],
             base, stderr_path, cwd=REPO_ROOT)
     except DaemonError as exc:
         fail(exc.message)
@@ -198,19 +199,24 @@ def main() -> int:
     finally:
         kill_quietly(server)
 
-    step("checking the structured access log")
-    with open(access_path, "r", encoding="utf-8") as handle:
-        lines = [json.loads(line) for line in handle if line.strip()]
-    if len(lines) < 8:
-        fail(f"access log has only {len(lines)} lines")
-    for record in lines:
-        for key in ("ts", "method", "path", "status", "duration_ms",
-                    "trace_id", "batch_size", "shed"):
-            if key not in record:
-                fail(f"access log line missing {key!r}: {record}")
-    if not any(r["trace_id"] == "11112222333344445555666677778888"
-               for r in lines):
-        fail("access log never saw the propagated trace ID")
+    step("checking the per-request span events in the stream")
+    with open(stream_path, "r", encoding="utf-8") as handle:
+        events = [json.loads(line) for line in handle if line.strip()]
+    requests = [event["span"] for event in events
+                if event["type"] == "span"
+                and event["span"]["name"] == "serve.request"]
+    if len(requests) < 8:
+        fail(f"stream has only {len(requests)} serve.request spans")
+    for span in requests:
+        for key in ("trace_id", "duration"):
+            if key not in span:
+                fail(f"serve.request span missing {key!r}: {span}")
+        for key in ("method", "endpoint", "status", "batch_size", "shed"):
+            if key not in span["attrs"]:
+                fail(f"serve.request span missing attr {key!r}: {span}")
+    if not any(span["trace_id"] == "11112222333344445555666677778888"
+               for span in requests):
+        fail("stream never saw the propagated trace ID")
 
     step("slo-check against the exported healthy stream")
     check = run_cli("slo-check", "--slo", slo_path,

@@ -129,11 +129,12 @@ class FileArtifact:
         """
         if self._call_sites is None:
             columns = self.source.columns
+            kinds = columns.kinds
             ident = TokenKind.IDENT
+            # "(" is rarer than an identifier, so test it first.
             self._call_sites = [
-                i for i, (kind, after) in enumerate(
-                    zip(columns.kinds, columns.texts[1:]))
-                if kind is ident and after == "("
+                i - 1 for i, text in enumerate(columns.texts)
+                if text == "(" and i and kinds[i - 1] is ident
             ]
         return self._call_sites
 

@@ -15,6 +15,7 @@ without lexing or parsing any unchanged file.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
@@ -22,7 +23,6 @@ import networkx as nx
 
 from repro.analysis.artifact import artifact_for
 from repro.lang.sourcefile import Codebase, SourceFile
-from repro.lang.tokens import TokenKind
 
 #: Conventional program entry points per language.
 ENTRY_POINT_NAMES = frozenset({"main", "__main__", "run", "start"})
@@ -40,16 +40,18 @@ def file_facts(source: SourceFile) -> List[list]:
     file's tokens again.
     """
     facts: List[list] = []
-    columns = source.columns
-    kinds, texts = columns.kinds, columns.texts
-    ident = TokenKind.IDENT
-    for func in artifact_for(source).functions:
+    texts = source.columns.texts
+    artifact = artifact_for(source)
+    # The file's call sites are found once; each body bisects its run
+    # of them, so nested bodies do not rescan each other's tokens.
+    sites = artifact.call_sites
+    for func in artifact.functions:
         name = func.name
         calls: Dict[str, int] = {}
         lo = func.body_start
-        for i in range(lo, func.body_end - 1):
-            if kinds[i] is not ident or texts[i + 1] != "(":
-                continue
+        for k in range(bisect_left(sites, lo),
+                       bisect_left(sites, func.body_end - 1)):
+            i = sites[k]
             callee = texts[i]
             if callee == name and i > lo and texts[i - 1] in (".", "->"):
                 continue

@@ -29,7 +29,7 @@ runs its fixpoints over the blocks with those masks.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -664,53 +664,69 @@ _PY_BLOCKS = frozenset({"if", "while", "for", "with", "try", "match"})
 _PY_ARMS = frozenset({"elif", "else", "except", "finally", "case"})
 
 
-def _lower_indent(kinds: Sequence[TokenKind], texts: Sequence[str],
-                  lines: List[int], line_indents: List[int], lo: int,
-                  hi: int) -> CFG:
-    """Lower the code lines ``lo..hi`` (1-based, inclusive) to a block CFG.
+def _code_lines(source: SourceFile):
+    """A Python file's code lines, grouped once for every function.
 
-    Every code line is one statement. A block header (``if``, loops,
-    ``with``, ``try``, ``match``) owns the following lines indented
-    deeper than it; arms (``elif``, ``else``, ``except``, ...) at its
-    indent directly below continue it. ``def``/``class`` bodies are
-    skipped.
+    Returns ``(numbers, firsts, indents, words, block_end)``, cached on
+    the file: code line ``k`` is line ``numbers[k]`` and holds the code
+    tokens ``firsts[k]:firsts[k + 1]``; ``indents[k]`` is its width and
+    ``words[k]`` its leading keyword (else None). ``block_end[k]`` is
+    the first later code line of the file indented no deeper than line
+    ``k``. Within a function whose code lines are ``lo_k..hi_k - 1``,
+    line ``k``'s block ends at ``min(block_end[k], hi_k)``, which is
+    the block end a walk over that function's lines alone would find.
     """
-    # One pass groups the code tokens by line: line k of the body is
-    # tokens firsts[k]:firsts[k + 1].
-    i = bisect_left(lines, lo)
-    n = len(lines)
+    if source._code_lines is not None:
+        return source._code_lines
+    columns = source.columns
+    kinds, texts = columns.kinds, columns.texts
     firsts: List[int] = []
     numbers: List[int] = []
     last = -1
-    while i < n:
-        ln = lines[i]
+    for i, ln in enumerate(columns.lines):
         if ln != last:
-            if ln > hi:
-                break
             firsts.append(i)
             numbers.append(ln)
             last = ln
-        i += 1
-    firsts.append(i)
-    m = len(numbers)
+    firsts.append(len(kinds))
+    line_indents = source.indents
     indents = [line_indents[ln - 1] for ln in numbers]
-    words = []
-    for k in range(m):
-        head = firsts[k]
-        words.append(texts[head] if kinds[head] is _KEYWORD else None)
-    # block_end[k]: the first later line indented no deeper than line k,
-    # so line k's block is lines k + 1 .. block_end[k] - 1.
+    words = [texts[head] if kinds[head] is _KEYWORD else None
+             for head in firsts[:-1]]
+    m = len(numbers)
     block_end = [m] * m
     open_lines: List[int] = []
     for k, width in enumerate(indents):
         while open_lines and indents[open_lines[-1]] >= width:
             block_end[open_lines.pop()] = k
         open_lines.append(k)
+    source._code_lines = (numbers, firsts, indents, words, block_end)
+    return source._code_lines
+
+
+def _lower_indent(kinds: Sequence[TokenKind], texts: Sequence[str],
+                  code_lines: tuple, lo: int, hi: int) -> CFG:
+    """Lower the code lines ``lo..hi`` (1-based, inclusive) to a block CFG.
+
+    Every code line is one statement. A block header (``if``, loops,
+    ``with``, ``try``, ``match``) owns the following lines indented
+    deeper than it; arms (``elif``, ``else``, ``except``, ...) at its
+    indent directly below continue it. ``def``/``class`` bodies are
+    skipped whole, so a function costs its own lines, not its nested
+    functions' too.
+    """
+    numbers, firsts, indents, words, file_block_end = code_lines
+    first = bisect_left(numbers, lo)
+    m = bisect_right(numbers, hi, first)
+
+    def block_end(k: int) -> int:
+        end = file_block_end[k]
+        return end if end < m else m
 
     em = _Blocks()
     names: Dict[str, int] = {}
     # _SEQ frames: [type, cur tails, break, continue, next line, end line].
-    stack: list = [[_SEQ, [ENTRY], None, None, 0, m]]
+    stack: list = [[_SEQ, [ENTRY], None, None, first, m]]
     tails: Optional[List[int]] = None
     while True:
         frame = stack[-1]
@@ -731,7 +747,7 @@ def _lower_indent(kinds: Sequence[TokenKind], texts: Sequence[str],
                         kinds, texts, firsts[k], firsts[k + 1], names), True)
                     frame[1] = cond
                     stack.append([_SEQ, [cond], frame[2], frame[3],
-                                  k + 1, block_end[k]])
+                                  k + 1, block_end(k)])
                     tails = None
                     continue
                 k = frame[7]
@@ -741,7 +757,7 @@ def _lower_indent(kinds: Sequence[TokenKind], texts: Sequence[str],
                     continue
                 frame[0] = _ELSE
                 stack.append([_SEQ, [frame[1]], frame[2], frame[3],
-                              k + 1, block_end[k]])
+                              k + 1, block_end(k)])
                 tails = None
                 continue
             elif kind is _ELSE:
@@ -764,7 +780,7 @@ def _lower_indent(kinds: Sequence[TokenKind], texts: Sequence[str],
                     k = frame[5][pos]
                     frame[6] = pos + 1
                     stack.append([_SEQ, [frame[1]], frame[2], frame[3],
-                                  k + 1, block_end[k]])
+                                  k + 1, block_end(k)])
                     tails = None
                     continue
                 tails = frame[4]
@@ -797,7 +813,7 @@ def _lower_indent(kinds: Sequence[TokenKind], texts: Sequence[str],
         preds, brk, cont = frame[1], frame[2], frame[3]
         word = words[k]
         if word in _PY_BLOCKS:
-            body_end = block_end[k]
+            body_end = block_end(k)
             # Arms directly below the body at the header's indent.
             arms = []
             j = body_end
@@ -806,7 +822,7 @@ def _lower_indent(kinds: Sequence[TokenKind], texts: Sequence[str],
             while (j < stop and numbers[j] == numbers[j - 1] + 1
                    and indents[j] == width and words[j] in _PY_ARMS):
                 arms.append(j)
-                j = block_end[j]
+                j = block_end(j)
             frame[4] = j
             d, u, fl = _scan(kinds, texts, firsts[k], firsts[k + 1], names)
             if word == "if":
@@ -848,7 +864,7 @@ def _lower_indent(kinds: Sequence[TokenKind], texts: Sequence[str],
                 stack.append([_TRY, head, brk, cont, [], handlers, 0])
                 stack.append([_SEQ, [head], brk, cont, k + 1, body_end])
                 continue
-            cases = [(arm + 1, block_end[arm]) for arm in handlers]
+            cases = [(arm + 1, block_end(arm)) for arm in handlers]
             if not cases:
                 cases = [(k + 1, body_end)]
             join = em.reserve()
@@ -869,7 +885,7 @@ def _lower_indent(kinds: Sequence[TokenKind], texts: Sequence[str],
             frame[1] = []
         else:
             if word == "def" or word == "class":
-                frame[4] = block_end[k]
+                frame[4] = block_end(k)
             d, u, fl = _scan(kinds, texts, firsts[k], firsts[k + 1], names)
             frame[1] = [em.stmt(preds, d, u, fl, False)]
     for tail in tails:
@@ -893,7 +909,7 @@ def build_cfg(func: FunctionInfo, source: SourceFile) -> CFG:
     columns = source.columns
     kinds, texts = columns.kinds, columns.texts
     if source.spec.function_style == "indent":
-        return _lower_indent(kinds, texts, columns.lines, source.indents,
+        return _lower_indent(kinds, texts, _code_lines(source),
                              func.start_line + 1, func.end_line)
     lo, hi = func.body_start, func.body_end
     # Skip the body's enclosing braces if present.

@@ -61,16 +61,32 @@ def file_complexities(source: SourceFile) -> List[ComplexityReport]:
     return file_summary(source)[1]
 
 
-def _stray_decisions(source: SourceFile, functions: List[FunctionInfo]) -> int:
+def _decision_sites(source: SourceFile) -> List[int]:
+    """Column indices of the file's decision tokens, ascending.
+
+    Found in one pass, so counting the decisions in any token range is
+    two bisections, however many function bodies nest around them.
+    """
+    columns = source.columns
+    kinds = columns.kinds
+    decision_tokens = source.spec.decision_tokens
+    keyword = TokenKind.KEYWORD
+    operator = TokenKind.OPERATOR
+    return [i for i, text in enumerate(columns.texts)
+            if text in decision_tokens
+            and (kinds[i] is keyword or kinds[i] is operator)]
+
+
+def _stray_decisions(source: SourceFile, functions: List[FunctionInfo],
+                     sites: List[int]) -> int:
     """Decision tokens on lines outside every function's line extent.
 
     The extents are merged into disjoint line ranges. Tokens come in
     line order, so each range is one run of token indices (two
-    bisections) and only the runs between them are scanned.
+    bisections), and the decisions between runs are counted in
+    ``sites`` (:func:`_decision_sites`).
     """
-    columns = source.columns
-    kinds, texts, lines = columns.kinds, columns.texts, columns.lines
-    decision_tokens = source.spec.decision_tokens
+    lines = source.columns.lines
     ranges: List[List[int]] = []
     for lo, hi in sorted((f.start_line, f.end_line) for f in functions):
         if ranges and lo <= ranges[-1][1]:
@@ -81,11 +97,9 @@ def _stray_decisions(source: SourceFile, functions: List[FunctionInfo]) -> int:
     gap_start = 0
     for lo, hi in ranges:
         inside = bisect_left(lines, lo, gap_start)
-        stray += decisions_in(kinds, texts, gap_start, inside,
-                              decision_tokens)
+        stray += bisect_left(sites, inside) - bisect_left(sites, gap_start)
         gap_start = bisect_right(lines, hi, inside)
-    return stray + decisions_in(kinds, texts, gap_start, len(kinds),
-                                decision_tokens)
+    return stray + len(sites) - bisect_left(sites, gap_start)
 
 
 def file_complexity(source: SourceFile) -> int:
@@ -100,13 +114,17 @@ def file_complexity(source: SourceFile) -> int:
 def file_summary(source: SourceFile) -> Tuple[int, List[ComplexityReport]]:
     """(file total, per-function reports), computing each complexity once."""
     functions = artifact_for(source).functions
-    complexities = [function_complexity(f, source) for f in functions]
+    sites = _decision_sites(source)
+    complexities = [
+        bisect_left(sites, f.body_end) - bisect_left(sites, f.body_start) + 1
+        for f in functions
+    ]
     reports = [
         ComplexityReport(f.name, f.start_line, c)
         for f, c in zip(functions, complexities)
     ]
     reports.sort(key=lambda r: r.start_line)
-    total = sum(complexities) + _stray_decisions(source, functions)
+    total = sum(complexities) + _stray_decisions(source, functions, sites)
     return total, reports
 
 

@@ -30,9 +30,9 @@ Commands:
   ``POST /predict`` (scored inline), ``POST /analyze`` (through the
   extraction engine), ``GET /healthz``, ``GET /metricz`` (JSON, or
   Prometheus text under ``Accept: text/plain``). ``--slo RULES`` folds
-  a live SLO verdict into ``/healthz``; ``--access-log PATH`` appends
-  one structured JSON line per request. Stops cleanly (exit 0) on
-  SIGTERM/SIGINT.
+  a live SLO verdict into ``/healthz``; under ``--stream`` every
+  request's ``serve.request`` span event is its access record. Stops
+  cleanly (exit 0) on SIGTERM/SIGINT.
 - ``slo-check --slo RULES (--stream FILE | --url URL)`` — evaluate SLO
   rules offline against an exported telemetry stream or live against a
   daemon's ``/metricz``; exits non-zero naming the breached rules.
@@ -43,17 +43,18 @@ Commands:
 
 Observability (accepted before or after the subcommand):
 
-- ``--trace FILE.jsonl`` — record every tracing span (one JSON object
-  per line: name, span_id, parent, trace_id, start, duration, attrs).
 - ``--profile`` — print the ``repro telemetry`` report (per-analyzer /
   per-phase time breakdown plus counters) after the command finishes.
 - ``--stream FILE.jsonl`` — append live telemetry events (finished
   spans, counter deltas, structured events) to a rotating JSONL stream
-  as they happen.
+  as they happen. It is the only telemetry file: its ``span`` events
+  are the run's trace (name, span_id, parent, trace_id, start,
+  duration, attrs). A path that cannot be opened fails the run with
+  exit 1 before the command starts.
 
 Every observed invocation mints one root trace ID; all spans the run
 records (including those grafted back from worker processes) carry it,
-so one CLI run exports as one connected trace.
+so one CLI run streams as one connected trace.
 
 Engine knobs (a shared argparse parent, accepted by every subcommand):
 
@@ -392,7 +393,6 @@ def cmd_serve(args) -> int:
         pool_size=args.pool_size,
         checkout_timeout=args.checkout_timeout,
         slo_rules=slo_rules,
-        access_log=args.access_log,
     )
 
     wake = threading.Event()
@@ -508,28 +508,26 @@ def cmd_corpus(args) -> int:
 
 
 def _add_obs_options(parser, top_level: bool) -> None:
-    """``--trace``/``--profile``/``--stream``, accepted before *and*
-    after the command.
+    """``--profile``/``--stream``, accepted before *and* after the
+    command.
 
     The subcommand copies default to ``SUPPRESS`` so a value parsed at
     the top level is not clobbered back to the default by the subparser.
     """
-    trace_kwargs = {"default": None} if top_level else \
+    stream_kwargs = {"default": None} if top_level else \
         {"default": argparse.SUPPRESS}
     profile_kwargs = {"default": False} if top_level else \
         {"default": argparse.SUPPRESS}
-    parser.add_argument(
-        "--trace", metavar="FILE.jsonl",
-        help="write a JSONL span trace of the whole run", **trace_kwargs)
     parser.add_argument(
         "--profile", action="store_true",
         help="print a telemetry report (per-analyzer/per-phase timings) "
              "after the command", **profile_kwargs)
     parser.add_argument(
         "--stream", metavar="FILE.jsonl",
-        help="append live telemetry events (spans, counter deltas, "
-             "structured events) to a rotating JSONL stream",
-        **trace_kwargs)
+        help="append live telemetry events (every finished span, counter "
+             "deltas, structured events) to a rotating JSONL stream; "
+             "its span events are the run's trace",
+        **stream_kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -665,9 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo", metavar="RULES.{toml,json}", default=None,
                    help="SLO rule file; /healthz reports degraded on "
                         "any breach")
-    p.add_argument("--access-log", metavar="PATH", default=None,
-                   help="append one structured JSON line per request "
-                        "(method, path, status, duration, trace id)")
     p.set_defaults(func=cmd_serve)
 
     # slo-check and monitor are telemetry consumers, not extraction
@@ -715,33 +710,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    trace_path = getattr(args, "trace", None)
     profile = getattr(args, "profile", False)
     stream_path = getattr(args, "stream", None)
     session = None
-    if trace_path or profile or stream_path:
+    if profile or stream_path:
         # One root trace ID per invocation: every span this run records
-        # (worker-grafted ones included) carries it, so the exported
-        # JSONL is a single connected trace.
-        # Only a trace file or a profile report reads the finished
-        # spans back, so a --stream-only session keeps none.
-        session = obs.configure(profile=profile, trace_path=trace_path,
-                                stream_path=stream_path,
-                                trace_id=obs.new_trace_id(),
-                                keep_spans=bool(trace_path or profile))
+        # (worker-grafted ones included) carries it, so the streamed
+        # spans form a single connected trace.
+        # Only a profile report reads the finished spans back, so a
+        # --stream-only session keeps none.
+        try:
+            session = obs.configure(profile=profile,
+                                    stream_path=stream_path,
+                                    trace_id=obs.new_trace_id(),
+                                    keep_spans=profile)
+        except OSError as exc:
+            print(f"error: cannot write telemetry stream to "
+                  f"{stream_path!r}: {exc}", file=sys.stderr)
+            return EXIT_FAILURES
     try:
         try:
             code = args.func(args)
         finally:
             if session is not None:
                 obs.disable()
-                if trace_path:
-                    try:
-                        session.write_trace()
-                    except OSError as exc:
-                        print(f"error: cannot write trace to "
-                              f"{trace_path!r}: {exc}", file=sys.stderr)
-                        code = 1
         if session is not None and profile:
             print()
             print(obs.format_run_report(session))

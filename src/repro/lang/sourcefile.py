@@ -51,6 +51,7 @@ class SourceFile:
         self._lines: Optional[List[str]] = None
         self._indents: Optional[List[int]] = None
         self._suites = None  # Python suite extents, see repro.lang.parser
+        self._code_lines = None  # Python code lines, see repro.analysis.cfg
         self._artifact = None  # lazily-built repro.analysis.artifact.FileArtifact
 
     def __getstate__(self) -> dict:
@@ -71,6 +72,7 @@ class SourceFile:
         self._lines = None
         self._indents = None
         self._suites = None
+        self._code_lines = None
         self._artifact = None
 
     @property

@@ -14,8 +14,8 @@ repo is measured against. Call sites use the module-level facade:
 The facade is **disabled by default**: ``span`` returns a shared no-op
 singleton and the metric helpers return immediately, so the instrumented
 hot paths cost one global read plus a call when observability is off.
-``configure()`` (the CLI's ``--trace``/``--profile``/``--stream``
-flags, the serving daemon, or tests) installs an :class:`ObsSession`
+``configure()`` (the CLI's ``--profile``/``--stream`` flags, the
+serving daemon, or tests) installs an :class:`ObsSession`
 holding a live :class:`~repro.obs.tracer.Tracer` and
 :class:`~repro.obs.metrics.MetricsRegistry`; ``disable()`` removes it.
 
@@ -26,7 +26,8 @@ With a ``stream_path`` configured, the session additionally owns a
 :class:`~repro.obs.stream.TelemetryStream` — a rotating JSONL event
 stream that records finished spans, counter deltas, gauge writes,
 histogram observations, and structured events as they happen, for
-``repro monitor`` / ``repro slo-check`` and post-mortems.
+``repro monitor`` / ``repro slo-check`` and post-mortems. It is the
+only telemetry file: its span events are the run's trace.
 
 While a session is active, a ``gc.callbacks`` hook counts the cyclic
 collector's work: ``runtime.gc.collections.gen<N>`` per generation and
@@ -55,13 +56,6 @@ from repro.obs.context import (
     new_trace_id,
     parse_traceparent,
     trace_scope,
-)
-from repro.obs.export import (
-    SPAN_RECORD_KEYS,
-    read_jsonl,
-    rotate_files,
-    trace_lines,
-    write_jsonl,
 )
 from repro.obs.metrics import (
     Counter,
@@ -93,9 +87,8 @@ from repro.obs.tracer import Tracer
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NULL_SPAN",
-    "NullSpan", "ObsSession", "PROMETHEUS_CONTENT_TYPE",
-    "SPAN_RECORD_KEYS", "Span", "TELEMETRY_VERSION", "TelemetryStream",
-    "Tracer",
+    "NullSpan", "ObsSession", "PROMETHEUS_CONTENT_TYPE", "Span",
+    "TELEMETRY_VERSION", "TelemetryStream", "Tracer",
     "active", "aggregate_spans", "configure", "current_trace_id",
     "disable", "event",
     "format_delta_section", "format_error_spans", "format_gate_section",
@@ -104,9 +97,8 @@ __all__ = [
     "incr", "is_enabled",
     "merge_counters", "new_trace_id", "observe", "parse_traceparent",
     "percentile", "prometheus_exposition",
-    "read_events", "read_jsonl", "replay_registry", "replay_snapshot",
-    "rotate_files", "sanitize_metric_name", "span", "trace_lines",
-    "trace_scope", "write_jsonl",
+    "read_events", "replay_registry", "replay_snapshot",
+    "sanitize_metric_name", "span", "trace_scope",
 ]
 
 
@@ -114,12 +106,10 @@ class ObsSession:
     """One enabled observability window: tracer, registry, stream."""
 
     def __init__(self, profile: bool = False,
-                 trace_path: Optional[str] = None,
                  stream: Optional[TelemetryStream] = None,
                  trace_id: Optional[str] = None,
                  keep_spans: bool = True):
         self.profile = profile
-        self.trace_path = trace_path
         self.stream = stream
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(on_finish=self._span_finished,
@@ -131,12 +121,6 @@ class ObsSession:
         )
         if self.stream is not None:
             self.stream.emit_span(span.to_dict())
-
-    def write_trace(self) -> int:
-        """Export the trace to ``trace_path``; returns spans written."""
-        if not self.trace_path:
-            return 0
-        return write_jsonl(self.tracer, self.trace_path)
 
     def close(self) -> None:
         """Release the session's stream descriptor (idempotent)."""
@@ -167,21 +151,21 @@ def _on_gc(phase: str, info: dict) -> None:
 
 
 def configure(profile: bool = False,
-              trace_path: Optional[str] = None,
               stream_path: Optional[str] = None,
               stream_max_bytes: Optional[int] = None,
               trace_id: Optional[str] = None,
               keep_spans: bool = True) -> ObsSession:
     """Enable observability with a fresh session (replacing any prior).
 
-    ``stream_path`` attaches a rotating telemetry event stream;
-    ``trace_id`` sets the tracer-wide default trace ID every span
-    recorded outside an explicit :func:`trace_scope` inherits.
-    ``keep_spans=False`` makes a session that keeps no finished spans:
-    they still feed its ``span.<name>.seconds`` histograms and its
-    stream, but nothing can export or report them later. A session
-    that lives as long as a server, with no trace file or profile to
-    write, needs nothing more.
+    ``stream_path`` attaches a rotating telemetry event stream,
+    opened here: an OSError from opening it propagates and leaves any
+    prior session in place. ``trace_id`` sets the tracer-wide default
+    trace ID every span recorded outside an explicit
+    :func:`trace_scope` inherits. ``keep_spans=False`` makes a session
+    that keeps no finished spans: they still feed its
+    ``span.<name>.seconds`` histograms and its stream, but nothing can
+    report them later. A session that lives as long as a server, or a
+    CLI run with no profile to print, needs nothing more.
     """
     global _session
     stream = None
@@ -190,11 +174,11 @@ def configure(profile: bool = False,
         if stream_max_bytes is not None:
             kwargs["max_bytes"] = stream_max_bytes
         stream = TelemetryStream(stream_path, **kwargs)
+        stream.open()
     if _session is not None:
         _session.close()
-    _session = ObsSession(profile=profile, trace_path=trace_path,
-                          stream=stream, trace_id=trace_id,
-                          keep_spans=keep_spans)
+    _session = ObsSession(profile=profile, stream=stream,
+                          trace_id=trace_id, keep_spans=keep_spans)
     if _on_gc not in gc.callbacks:
         gc.callbacks.append(_on_gc)
     return _session
@@ -287,7 +271,7 @@ def event(name: str, **fields: Any) -> None:
 def graft_spans(records) -> None:
     """Replay span records from a worker process (no-op when disabled).
 
-    ``records`` is a list of export dicts as produced by
+    ``records`` is a list of span records as produced by
     :meth:`~repro.obs.tracer.Tracer.records` in the worker's session.
     """
     session = _session

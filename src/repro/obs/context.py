@@ -2,7 +2,7 @@
 
 A *trace ID* names one logical request end to end — every span recorded
 while a request is in flight carries the same 32-hex-char ID, whichever
-thread or worker process records it, so an exported trace stitches into
+thread or worker process records it, so a streamed trace stitches into
 per-request trees instead of one undifferentiated run.
 
 Two propagation seams live here:
@@ -16,7 +16,7 @@ Two propagation seams live here:
   pushed while the scope is open. The binding is thread-local, so
   concurrent daemon handler threads each trace their own request.
 
-The CLI needs neither: ``repro --trace`` mints one root ID per
+The CLI needs neither: an observed ``repro`` run mints one root ID per
 invocation and sets it as the session tracer's default, which every
 span (local or grafted from a worker) inherits.
 """

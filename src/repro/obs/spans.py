@@ -59,7 +59,7 @@ class Span:
         return False
 
     def to_dict(self) -> Dict[str, Any]:
-        """The JSONL export record (one trace line)."""
+        """The span record (one ``span`` event in the telemetry stream)."""
         return {
             "name": self.name,
             "span_id": self.span_id,

@@ -1,21 +1,31 @@
-"""Streaming telemetry export: a rotating JSONL event stream.
+"""The telemetry stream: a rotating JSONL event file, the only one.
 
-Where the trace exporter (:mod:`repro.obs.export`) writes one file at
-the *end* of a run, the stream writes events *as they happen*, so a
-long-lived daemon's telemetry is observable while it runs and survives
-a crash up to the last flushed line. Consumers are ``repro monitor``
-(tail + render), ``repro slo-check`` (replay + evaluate), and anything
-that can read JSON lines.
+The stream writes events *as they happen*, so a long-lived daemon's
+telemetry is observable while it runs and survives a crash up to the
+last flushed line. Every finished span is one ``span`` event, so the
+stream also carries the run's whole trace, and the daemon's
+``serve.request`` span events are its per-request access records.
+Consumers are ``repro monitor`` (tail + render), ``repro slo-check``
+(replay + evaluate), and anything that can read JSON lines.
 
 Event schema (stable; stamped with ``telemetry_version`` so consumers
 can detect shape changes):
 
     {"v": 1, "ts": <unix seconds>, "type": "span",
-     "span": {<trace-export record>}}
+     "span": {"name": str, "span_id": int, "parent": int | null,
+              "trace_id": str | null, "start": float,
+              "duration": float, "attrs": {…}}}
     {"v": 1, "ts": ..., "type": "counter", "name": str, "delta": float}
     {"v": 1, "ts": ..., "type": "gauge",   "name": str, "value": float}
     {"v": 1, "ts": ..., "type": "observe", "name": str, "value": float}
     {"v": 1, "ts": ..., "type": "event",   "name": str, "fields": {…}}
+
+In a ``span`` record, ``start`` is monotonic seconds since the
+tracer's epoch, ``duration`` is seconds inside the span, ``parent``
+links a nested span to its enclosing span's ``span_id``, and
+``trace_id`` groups every span of one logical request (or one CLI
+invocation) under a shared 32-hex-char ID. Span events land in
+completion order, so a parent follows its children.
 
 ``counter`` events carry *deltas* (one per increment), not totals —
 replaying a stream from any starting generation yields correct totals
@@ -40,7 +50,6 @@ import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.obs.export import rotate_files, span_record
 from repro.obs.metrics import MetricsRegistry
 
 #: Bump on any breaking change to the event shapes above.
@@ -54,6 +63,56 @@ DEFAULT_KEEP = 3
 
 #: Event types a valid stream may carry.
 EVENT_TYPES = ("span", "counter", "gauge", "observe", "event")
+
+#: Keys every ``span`` event's record carries.
+SPAN_RECORD_KEYS = ("name", "span_id", "parent", "trace_id", "start",
+                    "duration", "attrs")
+
+
+def _sanitise(attrs: Dict[str, Any]) -> Dict[str, Any]:
+    """Coerce attribute values to JSON-safe scalars."""
+    out: Dict[str, Any] = {}
+    for key, value in attrs.items():
+        if isinstance(value, (str, int, float, bool)) or value is None:
+            out[key] = value
+        else:
+            out[key] = repr(value)
+    return out
+
+
+def span_record(record: Dict[str, Any]) -> Dict[str, Any]:
+    """One span's record with JSON-safe attribute values."""
+    record = dict(record)
+    record["attrs"] = _sanitise(record.get("attrs", {}))
+    return record
+
+
+def rotate_files(path: str, keep: int = 3) -> None:
+    """Shift ``path`` into numbered generations (``path.1`` newest).
+
+    ``path.<keep>`` falls off the end; each younger generation moves up
+    one slot; the live file becomes ``path.1``. Missing generations are
+    skipped silently, so rotation is safe to call on any state.
+    """
+    if keep < 1:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+        return
+    try:
+        os.remove(f"{path}.{keep}")
+    except FileNotFoundError:
+        pass
+    for gen in range(keep - 1, 0, -1):
+        try:
+            os.replace(f"{path}.{gen}", f"{path}.{gen + 1}")
+        except FileNotFoundError:
+            continue
+    try:
+        os.replace(path, f"{path}.1")
+    except FileNotFoundError:
+        pass
 
 
 class TelemetryStream:
@@ -85,6 +144,12 @@ class TelemetryStream:
                 self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
             self._size = os.fstat(self._fd).st_size
         return self._fd
+
+    def open(self) -> None:
+        """Open (or create) the live file now; raises OSError if it
+        cannot be, so a caller can refuse an unwritable path up front."""
+        with self._lock:
+            self._ensure_open()
 
     def emit(self, event_type: str, **payload: Any) -> None:
         """Append one event; never raises on I/O trouble.
@@ -118,7 +183,8 @@ class TelemetryStream:
                     self._fd = None
 
     def emit_span(self, record: Dict[str, Any]) -> None:
-        """Append one finished span (a trace-export record)."""
+        """Append one finished span, given as its
+        :meth:`~repro.obs.spans.Span.to_dict` record."""
         self.emit("span", span=span_record(record))
 
     def close(self) -> None:

@@ -4,11 +4,11 @@ The tracer keeps an explicit stack of open spans *per thread*; a span
 entered while another is open on the same thread becomes its child
 (``parent_id`` links them, and the parent's ``child_time`` grows by the
 child's duration on exit). Finished spans land on :attr:`Tracer.spans`
-in completion order, ready for the JSONL exporter and the run-report
-aggregator, unless the tracer was made with ``keep_spans=False``: a
-long-lived session that only feeds histograms and a stream (the
-daemon's) hands each finished span to ``on_finish`` and keeps none, so
-its memory does not grow with every request.
+in completion order, ready for the run-report aggregator, unless the
+tracer was made with ``keep_spans=False``: a session that only feeds
+histograms and a stream (the daemon's, or a CLI run without
+``--profile``) hands each finished span to ``on_finish`` and keeps
+none, so its memory does not grow with every request.
 
 Threading model: span *nesting* is thread-local (each thread nests its
 own spans — the serving daemon's handler threads each build their own
@@ -117,8 +117,8 @@ class Tracer:
 
         The parallel engine runs analyzers in worker processes, each with
         its own session; the workers ship their finished spans back as
-        export records (:meth:`records`) and the parent grafts them here
-        so ``--profile`` and ``--trace`` see one unified tree. Span ids
+        span records (:meth:`records`) and the parent grafts them here
+        so ``--profile`` and ``--stream`` see one unified tree. Span ids
         are remapped into this tracer's id space, records whose parent is
         outside the shipment hang off the currently open span, and starts
         are shifted so the subtree sits at the current wall position.
@@ -180,5 +180,5 @@ class Tracer:
         return [s for s in self.spans if s.name == name]
 
     def records(self) -> List[Dict[str, Any]]:
-        """Finished spans as export dicts, ordered by start time."""
+        """Finished spans as span records, ordered by start time."""
         return [s.to_dict() for s in sorted(self.spans, key=lambda s: s.start)]

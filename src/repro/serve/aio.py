@@ -3,8 +3,8 @@
 :class:`AsyncPredictionServer` owns the long-lived pieces — the
 validated :class:`~repro.serve.modelstore.ModelStore` (and its
 blue/green reload), the :class:`~repro.serve.enginepool.EnginePool`
-that ``/analyze`` and ``/gate`` extract through, the SLO rules and
-access log, and the :mod:`repro.obs` session ``/metricz`` reads. The
+that ``/analyze`` and ``/gate`` extract through, the SLO rules, and
+the :mod:`repro.obs` session ``/metricz`` reads. The
 event loop owns only connection plumbing — accepting sockets, parsing
 HTTP/1.1 framing, writing responses, persistent connections — and
 hands every parsed request to the transport-free
@@ -18,7 +18,11 @@ The concurrency model, layer by layer:
   event loop without holding a thread.
 - **Requests** are bounded by ``max_inflight``; beyond it the loop
   sheds directly with ``503`` + ``Retry-After`` without ever touching
-  a worker thread (``serve.aio.shed``).
+  a worker thread (``serve.aio.shed``, counted and emitted as an
+  event). Framing the loop refuses (400/413/431/501) never reaches a
+  handler either; it is counted as ``serve.aio.bad_request`` and
+  emitted as an event with its status. Every request that does reach
+  a handler is one ``serve.request`` span.
 - **Predictions** are scored inline on the handler thread that owns
   the request — one ``assess`` is ~0.1 ms of CPU, so no queue forms
   behind it and ``max_inflight`` is the only bound it needs.
@@ -45,7 +49,6 @@ from typing import Dict, Optional, Sequence
 from repro import obs, package_version
 from repro.engine import EngineConfig
 from repro.obs.slo import SloRule, evaluate_slos
-from repro.serve.accesslog import AccessLog
 from repro.serve.enginepool import (
     DEFAULT_CHECKOUT_TIMEOUT,
     EnginePool,
@@ -105,9 +108,6 @@ class AsyncPredictionServer:
         slo_rules: optional :class:`~repro.obs.slo.SloRule` sequence;
             ``/healthz`` evaluates them against the live metrics
             snapshot and reports ``status: degraded`` on any breach.
-        access_log: optional path; each finished request appends one
-            structured JSON line (method, path, status, duration,
-            trace ID, rows scored, shed flag) there.
     """
 
     def __init__(
@@ -120,16 +120,15 @@ class AsyncPredictionServer:
         checkout_timeout: float = DEFAULT_CHECKOUT_TIMEOUT,
         max_inflight: Optional[int] = None,
         slo_rules: Optional[Sequence[SloRule]] = None,
-        access_log: Optional[str] = None,
     ):
         self._store = store
         self._reload_lock = threading.Lock()
         self.slo_rules = tuple(slo_rules or ())
-        self.access_log = AccessLog(access_log) if access_log else None
         # /metricz needs a registry even when the CLI passed no
-        # --profile/--trace; reuse an existing session rather than
-        # clobbering the one main() configured. Nothing exports this
-        # session's spans, so it keeps none (its histograms still fill).
+        # --profile/--stream; reuse an existing session rather than
+        # clobbering the one main() configured. Nothing reads this
+        # session's spans back, so it keeps none (its histograms still
+        # fill).
         if not obs.is_enabled():
             obs.configure(keep_spans=False)
         self.pool = EnginePool(
@@ -288,8 +287,6 @@ class AsyncPredictionServer:
             self._sock.close()
         except OSError:  # already closed by the loop
             pass
-        if self.access_log is not None:
-            self.access_log.close()
 
     def _signal_stop(self) -> None:
         if self._stop_requested is not None:
@@ -345,6 +342,9 @@ class AsyncPredictionServer:
             try:
                 request = await self._read_request(reader)
             except _BadRequest as exc:
+                obs.incr("serve.aio.bad_request")
+                obs.event("serve.aio.bad_request", status=exc.status,
+                          reason=str(exc))
                 await self._write_response(
                     writer, _error_response(exc.status, str(exc)),
                     keep_alive=False)
@@ -354,6 +354,7 @@ class AsyncPredictionServer:
             method, path, headers, body, client_keep_alive = request
             if not self._admit():
                 obs.incr("serve.aio.shed")
+                obs.event("serve.aio.shed", method=method, path=path)
                 await self._write_response(
                     writer,
                     _error_response(

@@ -18,8 +18,13 @@ otherwise — bound to the handler thread for the request's duration, so
 the ``serve.request`` span, the extraction engine's spans, and even
 spans grafted back from pool worker processes all stitch into one
 trace. The ID is echoed on the response as ``X-Trace-Id`` and
-``traceparent``, and stamped on the structured access log line when
-the server has one configured.
+``traceparent``.
+
+Access records: the ``serve.request`` span carries ``method``,
+``endpoint``, ``status``, ``batch_size`` (the rows one ``/predict``
+scored, else None) and ``shed`` (an engine-pool refusal) as attributes,
+besides its trace ID and duration, so under ``repro --stream`` its span
+event is the request's access record.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
     prometheus_exposition,
 )
+from repro.obs.spans import NULL_SPAN
 from repro.serve.enginepool import PoolSaturated
 from repro.serve.modelstore import ModelLoadError
 from repro.serve.payloads import (
@@ -83,22 +89,19 @@ class Response:
 class RequestContext:
     """Per-request facts shared between the router and the endpoints.
 
-    ``headers`` is the inbound header map (keys lowercased);
-    ``trace_id`` the request's resolved trace identity; ``method`` the
-    HTTP method (for endpoints accepting more than one); ``batch_size``
-    (the rows one ``/predict`` scored) and ``shed`` (an engine-pool
-    refusal) are filled in by the endpoints for the access log.
+    ``headers`` is the inbound header map (keys lowercased); ``method`` the
+    HTTP method (for endpoints accepting more than one); ``span`` the
+    request's ``serve.request`` span, on which the endpoints set the
+    ``batch_size`` and ``shed`` attributes of its access record.
     ``store`` is the model-store *snapshot* resolved once at routing
     time — every model lookup in the request goes through it, so a
     blue/green swap mid-request cannot mix two stores in one response.
     """
 
     headers: Dict[str, str] = field(default_factory=dict)
-    trace_id: str = ""
     method: str = "GET"
     store: Optional[object] = None
-    batch_size: Optional[int] = None
-    shed: bool = False
+    span: object = NULL_SPAN
 
 
 class HTTPError(Exception):
@@ -262,7 +265,7 @@ def _handle_predict(app, doc: dict, ctx: RequestContext) -> Response:
         batched = False
     else:
         raise HTTPError(400, "request needs 'features' or 'instances'")
-    ctx.batch_size = len(rows)
+    ctx.span.set_attr("batch_size", len(rows))
     # Scored inline on the handler thread: one assess is ~0.1 ms of
     # CPU, so there is nothing for a queue to amortise or bound.
     predictions = [prediction_payload(model, row) for row in rows]
@@ -278,7 +281,7 @@ def _pool_errors(ctx: RequestContext):
     try:
         yield
     except PoolSaturated as exc:
-        ctx.shed = True
+        ctx.span.set_attr("shed", True)
         raise HTTPError(
             503, str(exc),
             headers=[("Retry-After", str(exc.retry_after))])
@@ -397,7 +400,7 @@ def handle_request(app, method: str, path: str, body: bytes,
     """Route one request and record its telemetry.
 
     ``app`` is the owning :class:`~repro.serve.aio.AsyncPredictionServer`
-    (store, engine pool, access log). ``headers`` is the
+    (store, engine pool). ``headers`` is the
     inbound header map (case-insensitive; used for ``traceparent``
     propagation and ``/metricz`` content negotiation). Never raises:
     every failure mode becomes a JSON error response with the right
@@ -409,14 +412,14 @@ def handle_request(app, method: str, path: str, body: bytes,
                   for key, value in (headers or {}).items()}
     trace_id = (parse_traceparent(header_map.get("traceparent", ""))
                 or new_trace_id())
-    # One store snapshot per request: a concurrent blue/green model
-    # swap must never be observable *within* a single response.
-    ctx = RequestContext(headers=header_map, trace_id=trace_id,
-                         method=method, store=app.store)
     obs.incr("serve.requests")
     with trace_scope(trace_id):
-        with obs.span("serve.request", method=method,
-                      endpoint=endpoint) as request_span:
+        with obs.span("serve.request", method=method, endpoint=endpoint,
+                      batch_size=None, shed=False) as request_span:
+            # One store snapshot per request: a concurrent blue/green
+            # model swap must never be observable *within* a response.
+            ctx = RequestContext(headers=header_map, method=method,
+                                 store=app.store, span=request_span)
             try:
                 allowed = ROUTES.get(endpoint)
                 if allowed is None:
@@ -453,14 +456,4 @@ def handle_request(app, method: str, path: str, body: bytes,
     span_id = getattr(request_span, "span_id", None) or 1
     response.headers.append(
         ("traceparent", format_traceparent(trace_id, span_id)))
-    if app.access_log is not None:
-        app.access_log.log(
-            method=method,
-            path=endpoint,
-            status=response.status,
-            duration_ms=round(duration * 1e3, 3),
-            trace_id=trace_id,
-            batch_size=ctx.batch_size,
-            shed=ctx.shed,
-        )
     return response

@@ -62,6 +62,10 @@ class TestConstruction:
         text = "def a():\n    return 1\n\ndef b():\n    return a()\n"
         g = build_callgraph(codebase_of(m_py=text))
         assert g.has_edge("b", "a")
+        # A `(` past the body's last token is not the body's call.
+        text = "def a():\n    return 1\n\ndef b():\n    return a\n(a)\n"
+        g = build_callgraph(codebase_of(m_py=text))
+        assert not g.has_edge("b", "a")
 
 
 class TestMetrics:

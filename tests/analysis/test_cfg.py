@@ -57,10 +57,15 @@ CASES = {
     "test_try_handler_branches":
         "def f():\n    try:\n        x = 1\n    except ValueError:\n"
         "        x = 2\n    return x\n",
+    # The string's unindented line ends `f` before the deeper line
+    # after it, so the `if` block must stop at the function's end.
+    "test_python_block_ends_with_function":
+        'def f(a):\n    if a: x = """\ntext\n"""\n        y = g(1)\n',
 }
 
 _PYTHON_CASES = {"test_python_elif_chain", "test_python_try_except",
-                 "test_for_else_free_loop", "test_try_handler_branches"}
+                 "test_for_else_free_loop", "test_try_handler_branches",
+                 "test_python_block_ends_with_function"}
 
 
 def _path(name):

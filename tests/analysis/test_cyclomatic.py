@@ -77,6 +77,12 @@ class TestFileAndCodebase:
     def test_stray_toplevel_decisions_counted(self):
         src = SourceFile("t.py", "import os\nif os.name == 'posix':\n    X = 1\n")
         assert file_complexity(src) >= 1
+        # Before, between and after functions: one stray decision each.
+        src = SourceFile("t.py", (
+            "x = a or b\ndef f(a):\n    return a\ny = 1 if x else 2\n"
+            "def g(b):\n    if b:\n        return b\nif x:\n    z = 1\n"))
+        assert [r.complexity for r in file_complexities(src)] == [1, 2]
+        assert file_complexity(src) == 1 + 2 + 3
 
     def test_codebase_sums_files(self, mixed_codebase):
         assert codebase_complexity(mixed_codebase) == sum(

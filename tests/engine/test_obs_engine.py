@@ -16,6 +16,7 @@ from repro import obs
 from repro.cli import main
 from repro.core.pipeline import build_feature_table
 from repro.engine import ExtractionEngine, FeatureCache
+from repro.obs.stream import SPAN_RECORD_KEYS
 
 
 @pytest.fixture
@@ -130,9 +131,8 @@ class TestWorkerSpans:
 class TestTraceSchema:
     def test_jsonl_schema_validates_with_engine(self, engine_corpus,
                                                 tmp_path):
-        session = obs.configure(
-            trace_path=str(tmp_path / "trace.jsonl")
-        )
+        stream = str(tmp_path / "telemetry.jsonl")
+        obs.configure(stream_path=stream)
         build_feature_table(
             engine_corpus,
             engine=ExtractionEngine(
@@ -140,12 +140,12 @@ class TestTraceSchema:
             ),
         )
         obs.disable()
-        session.write_trace()
-        records = obs.read_jsonl(str(tmp_path / "trace.jsonl"))
+        records = [event["span"] for event in obs.read_events(stream)
+                   if event["type"] == "span"]
         assert records
         ids = set()
         for record in records:
-            assert sorted(record) == sorted(obs.SPAN_RECORD_KEYS)
+            assert sorted(record) == sorted(SPAN_RECORD_KEYS)
             assert isinstance(record["name"], str)
             assert isinstance(record["start"], float)
             assert isinstance(record["duration"], float)

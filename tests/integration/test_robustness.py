@@ -233,11 +233,14 @@ def test_many_functions_or_classes_finish(name):
 
 
 #: Python shapes, as (path, text, expected ``functions`` record): one
-#: def with 12,000 parameters, and 1,000 defs each nested one level
-#: deeper than the last. The parser once rescanned the parameter list
-#: for every parameter and every nested block for every def; on a
-#: 2-core host the child then took 74 s and 103 s, past the wall
-#: bound. Each now finishes in about 1 s and 7 s there.
+#: def with 12,000 parameters, 1,000 defs each nested one level deeper
+#: than the last, and 2,000 defs each nested one space deeper. The
+#: parser once rescanned the parameter list for every parameter and
+#: every nested block for every def; on a 2-core host the child then
+#: took 74 s and 103 s, past the wall bound. The CFG lowering, the
+#: call-site scan and the decision count then still rescanned every
+#: nested body for every def (2,000 defs: about 10 s for
+#: ``file_record`` alone). Each shape now finishes in a few seconds.
 PYTHON_SHAPES = {
     "python_many_params": (
         "a.py",
@@ -251,6 +254,12 @@ PYTHON_SHAPES = {
                 for level in range(1_000)) + "    " * 1_000 + "return a\n",
         {"n_functions": 1_000, "total_params": 1_000, "max_params": 1,
          "max_length": 1_001, "max_nesting": 999}),
+    "python_nested_defs_by_one_space": (
+        "a.py",
+        "".join(" " * level + f"def f{level}(a):\n"
+                for level in range(2_000)) + " " * 2_000 + "return a\n",
+        {"n_functions": 2_000, "total_params": 2_000, "max_params": 1,
+         "max_length": 2_001, "max_nesting": 499}),
 }
 
 

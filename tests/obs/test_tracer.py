@@ -1,4 +1,4 @@
-"""Tracer, span nesting, facade enable/disable, and JSONL export."""
+"""Tracer, span nesting, facade enable/disable, and span records."""
 
 import json
 import time
@@ -6,8 +6,8 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs import NULL_SPAN, SPAN_RECORD_KEYS, Tracer
-from repro.obs.export import read_jsonl, trace_lines, write_jsonl
+from repro.obs import NULL_SPAN, Tracer
+from repro.obs.stream import SPAN_RECORD_KEYS, TelemetryStream, read_events
 
 
 @pytest.fixture(autouse=True)
@@ -127,33 +127,41 @@ class TestFacade:
 
 
 class TestExport:
+    """Finished spans reach the telemetry stream as span records."""
+
     def test_jsonl_schema(self, tmp_path):
-        session = obs.configure()
+        path = str(tmp_path / "telemetry.jsonl")
+        obs.configure(stream_path=path)
         with obs.span("outer", app="demo"):
             with obs.span("inner"):
                 pass
         obs.disable()
-        path = str(tmp_path / "trace.jsonl")
-        assert write_jsonl(session.tracer, path) == 2
-        records = read_jsonl(path)
-        assert len(records) == 2
-        for record in records:
+        events = read_events(path)
+        assert [event["type"] for event in events] == ["span", "span"]
+        # completion order: the inner span finishes first
+        inner, outer = (event["span"] for event in events)
+        for record in (outer, inner):
             assert sorted(record) == sorted(SPAN_RECORD_KEYS)
             assert isinstance(record["name"], str)
             assert isinstance(record["start"], float)
             assert isinstance(record["duration"], float)
             assert isinstance(record["attrs"], dict)
-        outer, inner = records  # ordered by start time
         assert outer["name"] == "outer"
+        assert inner["name"] == "inner"
         assert outer["parent"] is None
         assert outer["attrs"] == {"app": "demo"}
         assert inner["parent"] == outer["span_id"]
 
-    def test_lines_are_valid_json(self):
-        tracer = Tracer()
+    def test_lines_are_valid_json(self, tmp_path):
+        path = str(tmp_path / "telemetry.jsonl")
+        stream = TelemetryStream(path)
+        tracer = Tracer(on_finish=lambda span: stream.emit_span(
+            span.to_dict()))
         with tracer.span("op", obj=object()):
             pass
-        (line,) = trace_lines(tracer)
-        record = json.loads(line)
+        stream.close()
+        with open(path, encoding="utf-8") as handle:
+            (line,) = handle.read().splitlines()
+        record = json.loads(line)["span"]
         # non-scalar attrs are repr()'d, not dropped
         assert record["attrs"]["obj"].startswith("<object")

@@ -160,6 +160,36 @@ class TestKeepAlive:
         assert reply.startswith(b"HTTP/1.1 %d " % status)
         assert b"Connection: close" in reply
 
+    def test_framing_refusal_is_counted_and_streamed(self, store,
+                                                     tmp_path):
+        stream = str(tmp_path / "telemetry.jsonl")
+        session = obs.configure(stream_path=stream, keep_spans=False)
+        srv = AsyncPredictionServer(
+            store, config=EngineConfig(no_cache=True), port=0,
+            pool_size=1)
+        srv.start()
+        try:
+            with socket.create_connection(
+                    (srv.host, srv.port), timeout=10) as raw:
+                raw.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                            b"Content-Length: 0\r\nContent-Length: 30"
+                            b"\r\n\r\n")
+                reply = b""
+                while chunk := raw.recv(65536):
+                    reply += chunk
+        finally:
+            srv.stop()
+            obs.disable()
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["serve.aio.bad_request"] == 1
+        assert counters["serve.errors.400"] == 1
+        (refusal,) = [event for event in obs.read_events(stream)
+                      if event["type"] == "event"
+                      and event["name"] == "serve.aio.bad_request"]
+        assert refusal["fields"] == {
+            "status": 400, "reason": "conflicting Content-Length headers"}
+
 
 class TestConcurrency:
     def test_parallel_predicts_all_answer(self, aserver, tree, capsys):
@@ -180,10 +210,13 @@ class TestConcurrency:
         assert statuses == [200] * 12
 
     def test_loop_sheds_beyond_max_inflight(self, store, tree, capsys,
-                                            monkeypatch):
+                                            monkeypatch, tmp_path):
         """With max_inflight=1 and a wedged model hop, the second
         request is refused at the loop with 503 + Retry-After — the
-        daemon answers under overload instead of queueing silently."""
+        daemon answers under overload instead of queueing silently,
+        and the shed reaches the telemetry stream as an event."""
+        stream = str(tmp_path / "telemetry.jsonl")
+        obs.configure(stream_path=stream, keep_spans=False)
         srv = AsyncPredictionServer(
             store, config=EngineConfig(no_cache=True), port=0,
             pool_size=1, max_inflight=1)
@@ -218,6 +251,16 @@ class TestConcurrency:
             # and the daemon is healthy again afterwards
             status, _, _ = fire(srv, "GET", "/healthz")
             assert status == 200
+            events = obs.read_events(stream)
+            (shed,) = [event for event in events
+                       if event["type"] == "event"
+                       and event["name"] == "serve.aio.shed"]
+            assert shed["fields"] == {"method": "POST", "path": "/predict"}
+            # the shed request never reached a handler: no request span
+            requests = [event for event in events
+                        if event["type"] == "span"
+                        and event["span"]["name"] == "serve.request"]
+            assert len(requests) == 2
         finally:
             release.set()
             srv.stop()

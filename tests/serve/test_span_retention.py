@@ -1,12 +1,12 @@
-"""Sessions nothing exports keep no finished spans.
+"""Sessions nothing reads spans back from keep no finished spans.
 
-A server started without ``--trace``/``--profile`` configures a session
-only so ``/metricz`` has a registry, and a ``--stream``-only CLI run
-streams each span as it finishes. Nothing exports those sessions' spans
-later, so they must not keep them: a long-lived daemon would otherwise
-grow by every span of every request. Their ``span.<name>.seconds``
-histograms must still see every span, exactly as a span-keeping
-session's do.
+A server started without ``--profile``/``--stream`` configures a
+session only so ``/metricz`` has a registry, and a ``--stream``-only
+CLI run streams each span as it finishes. Only ``--profile`` reads
+finished spans back, so the other sessions must not keep them: a
+long-lived daemon would otherwise grow by every span of every
+request. Their ``span.<name>.seconds`` histograms must still see every
+span, exactly as a span-keeping session's do.
 """
 
 import pytest
@@ -74,10 +74,12 @@ def test_implicit_server_session_keeps_no_spans(store):
 @pytest.mark.parametrize("flags, keeps", [
     (["--stream", "{tmp}/s.jsonl"], False),
     (["--stream", "{tmp}/s.jsonl", "--profile"], True),
-    (["--trace", "{tmp}/t.jsonl"], True),
+    (["--profile"], True),
 ])
 def test_cli_session_keeps_spans_only_for_trace_or_profile(
         tmp_path, monkeypatch, capsys, flags, keeps):
+    """The trace lives in the stream now, so only ``--profile`` keeps
+    finished spans."""
     from repro.cli import main
 
     tree = tmp_path / "app"

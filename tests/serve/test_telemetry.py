@@ -1,8 +1,9 @@
-"""Serving telemetry: /metricz negotiation, trace identity, access log.
+"""Serving telemetry: /metricz negotiation, trace identity, access
+records.
 
 Transport-free where possible (handle_request with an explicit header
 map); the acceptance test drives a real extraction through /analyze and
-walks the exported span tree.
+walks the streamed span tree.
 """
 
 import json
@@ -10,10 +11,9 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs.export import read_jsonl
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.serve import AsyncPredictionServer
-from repro.serve.accesslog import AccessLog
+from repro.serve.enginepool import PoolSaturated
 from repro.serve.handlers import handle_request
 
 FEATURES = {"loc.total": 120.0, "complexity.per_kloc": 4.5}
@@ -118,60 +118,92 @@ class TestTraceIdentity:
 
 
 class TestAccessLog:
-    def read_lines(self, path):
-        with open(path, encoding="utf-8") as handle:
-            return [json.loads(line) for line in handle if line.strip()]
+    """Under ``--stream``, each handled request's ``serve.request`` span
+    event is its access record."""
 
-    def test_one_json_line_per_request(self, app, tmp_path):
-        path = str(tmp_path / "access.jsonl")
-        app.access_log = AccessLog(path)
+    @pytest.fixture
+    def streamed(self, store, tmp_path):
+        """A server behind a stream session, as ``repro --stream PATH
+        serve`` builds it: the CLI's session first, reused by the
+        server."""
+        path = str(tmp_path / "telemetry.jsonl")
+        obs.configure(stream_path=path, keep_spans=False)
+        server = AsyncPredictionServer(store, port=0, pool_size=1)
+        yield server, path
+        server.stop()
+        obs.disable()
+
+    def read_records(self, path):
+        return [event for event in obs.read_events(path)
+                if event["type"] == "span"
+                and event["span"]["name"] == "serve.request"]
+
+    def test_one_json_line_per_request(self, streamed):
+        app, path = streamed
         call(app, "GET", "/healthz")
         response = call(app, "POST", "/predict", {"features": FEATURES})
         assert response.status == 200
         call(app, "GET", "/nope")
-        app.access_log.close()
-        lines = self.read_lines(path)
-        assert [(l["method"], l["path"], l["status"]) for l in lines] == [
+        events = self.read_records(path)
+        attrs = [event["span"]["attrs"] for event in events]
+        assert [(a["method"], a["endpoint"], a["status"])
+                for a in attrs] == [
             ("GET", "/healthz", 200),
             ("POST", "/predict", 200),
             ("GET", "/nope", 404),
         ]
-        for line in lines:
-            assert set(line) == {"ts", "method", "path", "status",
-                                 "duration_ms", "trace_id", "batch_size",
-                                 "shed"}
-            assert line["duration_ms"] >= 0
-            assert line["ts"] > 0
+        for event, attr in zip(events, attrs):
+            assert set(attr) == {"method", "endpoint", "status",
+                                 "batch_size", "shed"}
+            assert len(event["span"]["trace_id"]) == 32
+            assert event["span"]["duration"] >= 0
+            assert event["ts"] > 0
 
-    def test_logs_the_request_trace_id_and_batch_size(self, app, tmp_path):
-        path = str(tmp_path / "access.jsonl")
-        app.access_log = AccessLog(path)
+    def test_logs_the_request_trace_id_and_batch_size(self, streamed):
+        app, path = streamed
         trace = "11112222333344445555666677778888"
         call(app, "POST", "/predict",
              {"instances": [FEATURES, FEATURES, FEATURES]},
              headers={"traceparent": f"00-{trace}-00000000000000ff-01"})
-        app.access_log.close()
-        (line,) = self.read_lines(path)
-        assert line["trace_id"] == trace
-        assert line["batch_size"] == 3
-        assert line["shed"] is False
+        (event,) = self.read_records(path)
+        assert event["span"]["trace_id"] == trace
+        assert event["span"]["attrs"]["batch_size"] == 3
+        assert event["span"]["attrs"]["shed"] is False
+
+    def test_pool_shed_is_marked_on_the_record(self, streamed, tmp_path,
+                                               monkeypatch):
+        app, path = streamed
+
+        def saturated(*args, **kwargs):
+            raise PoolSaturated(retry_after=2)
+
+        monkeypatch.setattr(app.pool, "extract_one", saturated)
+        tree = tmp_path / "app"
+        tree.mkdir()
+        (tree / "app.c").write_text(SOURCE)
+        response = call(app, "POST", "/analyze", {"path": str(tree)})
+        assert response.status == 503
+        (event,) = self.read_records(path)
+        attrs = event["span"]["attrs"]
+        assert (attrs["status"], attrs["shed"], attrs["batch_size"]) == \
+            (503, True, None)
 
     def test_no_access_log_configured_writes_nothing(self, app, tmp_path):
         call(app, "GET", "/healthz")
-        assert app.access_log is None
+        assert obs.active().stream is None
         assert list(tmp_path.iterdir()) == []
 
 
 class TestAnalyzeSpanTree:
-    """Acceptance: one /analyze request exports one connected trace."""
+    """Acceptance: one /analyze request streams one connected trace."""
 
     def test_spans_form_one_tree_under_the_request_trace(
             self, store, tmp_path, monkeypatch):
         # An ambient cache (CI engine leg) would answer from a prior
         # test's row for the same source, and no analyzer would run.
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        trace_path = str(tmp_path / "trace.jsonl")
-        session = obs.configure(trace_path=trace_path)
+        stream = str(tmp_path / "telemetry.jsonl")
+        obs.configure(stream_path=stream, keep_spans=False)
         server = AsyncPredictionServer(store, port=0, pool_size=1)
         try:
             tree = tmp_path / "app"
@@ -185,10 +217,11 @@ class TestAnalyzeSpanTree:
             assert response.status == 200
         finally:
             server.stop()
-        assert session.write_trace() > 0
-        obs.disable()
+            obs.disable()
 
-        records = read_jsonl(trace_path)
+        records = [event["span"] for event in obs.read_events(stream)
+                   if event["type"] == "span"]
+        assert records
         # every span carries the caller's trace ID — one trace, no strays
         assert {record["trace_id"] for record in records} == {trace}
         by_id = {record["span_id"]: record for record in records}

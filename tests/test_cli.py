@@ -94,15 +94,22 @@ class TestAnalyze:
         assert f"{features['size.sample_loc']:12.4f}" in text
 
 
+def stream_spans(path):
+    """The span records of a telemetry stream file (the run's trace)."""
+    return [event["span"] for event in obs.read_events(path)
+            if event["type"] == "span"]
+
+
 class TestObservabilityFlags:
     def test_trace_writes_valid_jsonl(self, risky_tree, tmp_path):
-        trace = str(tmp_path / "trace.jsonl")
+        """The stream's span events are the run's trace."""
+        stream = str(tmp_path / "telemetry.jsonl")
         # --no-cache keeps analyzer spans present even when the suite
         # runs with a warm REPRO_CACHE_DIR (the CI engine matrix leg).
-        assert main(["--trace", trace, "analyze", risky_tree,
+        assert main(["--stream", stream, "analyze", risky_tree,
                      "--no-cache"]) == 0
-        records = [json.loads(line) for line in open(trace)]
-        assert records, "trace file is empty"
+        records = stream_spans(stream)
+        assert records, "stream holds no spans"
         for record in records:
             assert sorted(record) == ["attrs", "duration", "name",
                                       "parent", "span_id", "start",
@@ -116,15 +123,39 @@ class TestObservabilityFlags:
                    if r["parent"] is not None)
 
     def test_trace_flag_after_subcommand(self, risky_tree, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        assert main(["analyze", risky_tree, "--trace", trace]) == 0
-        assert [json.loads(line) for line in open(trace)]
+        stream = str(tmp_path / "t.jsonl")
+        assert main(["analyze", risky_tree, "--stream", stream]) == 0
+        assert stream_spans(stream)
 
     def test_trace_unwritable_path_fails_cleanly(self, risky_tree, capsys):
+        """An unwritable stream fails the run before the command runs."""
         code = main(["analyze", risky_tree,
-                     "--trace", "/nonexistent-dir/t.jsonl"])
+                     "--stream", "/nonexistent-dir/t.jsonl"])
         assert code == 1
-        assert "cannot write trace" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "error: cannot write telemetry stream to " \
+            "'/nonexistent-dir/t.jsonl'" in err
+        assert out == ""
+        assert not obs.is_enabled()
+
+    def test_unwritable_stream_fails_serve_before_it_starts(self, capsys):
+        # The model path is bogus too: loading it would exit with a
+        # model error, so exit 1 with the stream error shows the run
+        # stopped before the daemon was built.
+        code = main(["--stream", "/nonexistent-dir/t.jsonl", "serve",
+                     "--model", "/nonexistent-dir/m.pkl", "--port", "0"])
+        assert code == 1
+        assert "cannot write telemetry stream" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--trace", "t.jsonl", "analyze", "."],
+        ["analyze", ".", "--trace", "t.jsonl"],
+        ["serve", "--model", "m.pkl", "--access-log", "a.jsonl"],
+    ])
+    def test_removed_telemetry_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
     def test_profile_prints_telemetry(self, risky_tree, capsys):
         assert main(["analyze", risky_tree, "--profile",
@@ -557,10 +588,10 @@ class TestTelemetryStreamFlag:
 
     def test_invocation_mints_one_root_trace_id(self, risky_tree,
                                                 tmp_path):
-        trace = str(tmp_path / "trace.jsonl")
-        assert main(["--trace", trace, "analyze", risky_tree,
+        stream = str(tmp_path / "telemetry.jsonl")
+        assert main(["--stream", stream, "analyze", risky_tree,
                      "--no-cache"]) == 0
-        records = [json.loads(line) for line in open(trace)]
+        records = stream_spans(stream)
         trace_ids = {record["trace_id"] for record in records}
         assert len(trace_ids) == 1
         (trace_id,) = trace_ids
@@ -571,9 +602,9 @@ class TestTelemetryStreamFlag:
                                                      tmp_path):
         ids = set()
         for name in ("a.jsonl", "b.jsonl"):
-            trace = str(tmp_path / name)
-            assert main(["--trace", trace, "analyze", risky_tree]) == 0
-            ids |= {json.loads(line)["trace_id"] for line in open(trace)}
+            stream = str(tmp_path / name)
+            assert main(["--stream", stream, "analyze", risky_tree]) == 0
+            ids |= {record["trace_id"] for record in stream_spans(stream)}
         assert len(ids) == 2
 
 
